@@ -1,7 +1,7 @@
 # Convenience targets; see README.md for details.
 
 .PHONY: install test bench bench-gate bench-serve bench-paper experiments \
-	examples serve-smoke columnar-smoke all
+	examples serve-smoke columnar-smoke perfbench-smoke all
 
 # Open-loop load profile for bench-serve (docs/serving.md).
 SERVE_RATE ?= 2
@@ -54,6 +54,13 @@ serve-smoke:
 # pipeline outputs (docs/columnar.md).
 columnar-smoke:
 	PYTHONPATH=src python scripts/columnar_smoke.py
+
+# The repository benchmark's own checks: its unit tests, then a short
+# traced large-trace run (exit 0 means every output matched its reference
+# digest and every stage wrapper was called; perfbench/README.md).
+perfbench-smoke:
+	python -m pytest perfbench/tests -q
+	python3 perfbench/run.py --workload large-trace --seed 0 --seconds 5 --trace 1
 
 # Regenerate every paper table/figure at the default preset.
 experiments:

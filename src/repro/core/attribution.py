@@ -105,6 +105,11 @@ class AttributionResult:
     def __contains__(self, resource: str) -> bool:
         return resource in self.per_resource
 
+    def resources_of(self, instance: PhaseInstance | str) -> list[str]:
+        """Resources with a direct attribution row for this instance."""
+        iid = instance.instance_id if isinstance(instance, PhaseInstance) else instance
+        return list(self._index.get(iid, ()))
+
     # ------------------------------------------------------------------ #
     # Usage queries
     # ------------------------------------------------------------------ #

@@ -72,24 +72,26 @@ def blocked_time_analysis(
 
     resources = sorted({ev.resource for inst in trace.instances() for ev in inst.blocking})
 
-    per_resource: dict[str, float] = {}
+    scenarios: list[dict[str, float]] = []
     for resource in resources:
         durations: dict[str, float] = {}
         for inst in trace.instances():
             blocked = inst.blocked_time(resource)
             if blocked > 0.0:
                 durations[inst.instance_id] = max(inst.duration - blocked, 0.0)
-        per_resource[resource] = sim.simulate(durations).makespan
+        scenarios.append(durations)
 
     all_durations: dict[str, float] = {}
     for inst in trace.instances():
         blocked = sum(e - s for s, e in inst.blocked_intervals())
         if blocked > 0.0:
             all_durations[inst.instance_id] = max(inst.duration - blocked, 0.0)
-    optimistic = sim.simulate(all_durations).makespan
+    scenarios.append(all_durations)
 
+    # Every per-resource what-if and the all-resources one in one sweep.
+    *per_resource, optimistic = sim.makespans(scenarios).tolist()
     return BlockedTimeResult(
         baseline_makespan=baseline,
         optimistic_makespan=optimistic,
-        per_resource=per_resource,
+        per_resource=dict(zip(resources, per_resource)),
     )

@@ -169,7 +169,7 @@ def estimate_demand_columnar(
         variable_total = np.zeros(grid.n_slices)
         entries: list[DemandEntry] = []
         for inst, activity in attributable:
-            rule = rules.rule_for(inst, name)
+            rule = rules.resolve(inst, name)
             if isinstance(rule, NoneRule):
                 continue
             if isinstance(rule, ExactRule):

@@ -86,7 +86,7 @@ def critical_path(
     if not schedule.end:
         return CriticalPath()
 
-    wait_paths = sim._wait_paths
+    wait_paths = sim.wait_paths
 
     last_id = max(schedule.end, key=lambda iid: (schedule.end[iid], iid))
     path: list[PhaseInstance] = []
@@ -99,7 +99,7 @@ def critical_path(
             path.append(inst)
         start = schedule.start[current]
         binding: str | None = None
-        for pid in sim._preds.get(current, ()):  # predecessors are leaf ids
+        for pid in sim.predecessors(current):  # sorted leaf ids
             end = schedule.end.get(pid)
             if end is not None and abs(end - start) <= 1e-9 and start > _EPS:
                 if binding is None or schedule.end[pid] > schedule.end[binding]:

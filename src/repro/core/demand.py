@@ -100,6 +100,28 @@ class DemandEstimate:
         return list(self.per_resource)
 
 
+def _demand_row(
+    inst: PhaseInstance,
+    resources: ResourceModel,
+    rules: RuleMatrix,
+    per_resource: dict[str, ResourceDemand],
+) -> list[tuple[ResourceDemand, bool, float]]:
+    """``(demand, is_exact, magnitude)`` of every consumable resource whose
+    rule for ``inst`` is not :class:`NoneRule`, in resource-model order."""
+    row: list[tuple[ResourceDemand, bool, float]] = []
+    for name, res in resources.consumable.items():
+        rule = rules.resolve(inst, name)
+        if isinstance(rule, NoneRule):
+            continue
+        if isinstance(rule, ExactRule):
+            row.append((per_resource[name], True, rule.proportion * res.capacity))
+        elif isinstance(rule, VariableRule):
+            row.append((per_resource[name], False, rule.weight))
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown rule type {type(rule).__name__}")
+    return row
+
+
 def estimate_demand(
     trace: ExecutionTrace,
     resources: ResourceModel,
@@ -127,21 +149,20 @@ def estimate_demand(
         )
         for name, res in consumable.items()
     }
+    # The non-None rules of each location, resolved once: a rule depends
+    # only on the phase path and the machine/worker/thread.
+    rows: dict[tuple, list[tuple[ResourceDemand, bool, float]]] = {}
     for inst, activity in trace.iter_attributable_instances(grid):
-        for name, res in consumable.items():
-            rule = rules.rule_for(inst, name)
-            if isinstance(rule, NoneRule):
-                continue
-            rdemand = per_resource[name]
-            if isinstance(rule, ExactRule):
-                magnitude = rule.proportion * res.capacity
-                entry = DemandEntry(inst, True, magnitude, activity)
+        location = (inst.phase_path, inst.machine, inst.worker, inst.thread)
+        row = rows.get(location)
+        if row is None:
+            row = rows[location] = _demand_row(inst, resources, rules, per_resource)
+        for rdemand, is_exact, magnitude in row:
+            entry = DemandEntry(inst, is_exact, magnitude, activity)
+            if is_exact:
                 rdemand.exact_total += entry.demand()
-            elif isinstance(rule, VariableRule):
-                entry = DemandEntry(inst, False, rule.weight, activity)
+            else:
                 rdemand.variable_total += entry.demand()
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown rule type {type(rule).__name__}")
             rdemand.entries.append(entry)
     for name, res in consumable.items():
         # Known demand can never exceed capacity: concurrent Exact phases

@@ -139,7 +139,7 @@ class _LiveRow:
 
     @property
     def phase_path(self) -> str:
-        """Alias so :meth:`RuleMatrix.rule_for` can match live rows."""
+        """Alias so :meth:`RuleMatrix.resolve` can match live rows."""
         return self.path
 
     def active_intervals(self, cap: float) -> list[tuple[float, float]]:
@@ -386,7 +386,7 @@ class IncrementalProfile:
         key = (row.iid, resource)
         if key in self._rule_cache:
             return self._rule_cache[key]
-        rule = self.rules.rule_for(row, resource)  # duck-typed: path + location
+        rule = self.rules.resolve(row, resource)  # duck-typed: path + location
         if isinstance(rule, NoneRule):
             resolved: tuple[bool, float] | None = None
         elif isinstance(rule, ExactRule):

@@ -24,6 +24,7 @@ Two issue classes are implemented, matching the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,6 +46,8 @@ __all__ = [
 
 #: Issues improving the makespan by less than this fraction are suppressed.
 DEFAULT_MIN_IMPROVEMENT = 0.01
+#: Concurrent groups smaller than this are never considered imbalanced.
+_MIN_GROUP_SIZE = 2
 _EPS = 1e-12
 
 
@@ -100,12 +103,72 @@ class IssueReport:
         return [i for i in self.issues if i.subject == subject]
 
 
+@dataclass(frozen=True)
+class _WhatIf:
+    """One what-if scenario: the durations it changes and how to report it."""
+
+    kind: str
+    subject: str
+    action: str
+    affected: tuple[str, ...]
+    durations: dict[str, float]
+
+
+def _replay_what_ifs(
+    sim: ReplaySimulator, what_ifs: list[_WhatIf], min_improvement: float
+) -> IssueReport:
+    """Replay the baseline once and every scenario in one batched sweep;
+    report the scenarios that improve the makespan enough."""
+    baseline = sim.baseline().makespan
+    optimistic = sim.makespans([w.durations for w in what_ifs]).tolist() if what_ifs else []
+    issues: list[PerformanceIssue] = []
+    for w, opt in zip(what_ifs, optimistic):
+        issue = PerformanceIssue(
+            kind=w.kind,
+            subject=w.subject,
+            description=(
+                f"{w.action} could reduce the makespan by {baseline - opt:.3f}s "
+                f"({(baseline - opt) / max(baseline, _EPS):.1%})"
+            ),
+            affected_instances=w.affected,
+            baseline_makespan=baseline,
+            optimistic_makespan=opt,
+        )
+        if issue.improvement >= min_improvement:
+            issues.append(issue)
+    return IssueReport(baseline_makespan=baseline, issues=issues)
+
+
+_Envelope = Callable[[str], list[tuple[str, np.ndarray]]]
+
+
+def _utilization_envelopes(
+    upsampled: UpsampledTrace, attribution: AttributionResult | None
+) -> _Envelope:
+    """Per instance, the ``where(demand > eps, utilization, 0)`` row of each
+    resource it uses — computed once per instance and then reused."""
+    if attribution is None:
+        return lambda instance_id: []
+    cache: dict[str, list[tuple[str, np.ndarray]]] = {}
+
+    def envelope(instance_id: str) -> list[tuple[str, np.ndarray]]:
+        rows = cache.get(instance_id)
+        if rows is None:
+            rows = cache[instance_id] = []
+            for resource in attribution.resources_of(instance_id):
+                used = attribution.demand_of(instance_id, resource) > _EPS
+                if resource in upsampled and np.any(used):
+                    rows.append((resource, np.where(used, upsampled[resource].utilization, 0.0)))
+        return rows
+
+    return envelope
+
+
 def _bottleneck_reductions(
     resource: str,
     trace: ExecutionTrace,
     report: BottleneckReport,
-    upsampled: UpsampledTrace,
-    attribution: AttributionResult | None,
+    envelope: _Envelope,
 ) -> dict[str, float]:
     """Per-instance duration reductions from removing bottlenecks on ``resource``.
 
@@ -125,16 +188,9 @@ def _bottleneck_reductions(
             continue
         # Utilization of the other resources this instance uses, per slice.
         next_util = np.zeros(grid.n_slices)
-        if attribution is not None:
-            for other in upsampled.resources():
-                if other == resource or other not in attribution:
-                    continue
-                dem = attribution.demand_of(b.instance_id, other)
-                used = dem > _EPS
-                if not np.any(used):
-                    continue
-                util = upsampled[other].utilization
-                np.maximum(next_util, np.where(used, util, 0.0), out=next_util)
+        for other, util in envelope(b.instance_id):
+            if other != resource:
+                np.maximum(next_util, util, out=next_util)
         recovered = float(np.sum((1.0 - np.minimum(next_util[b.slices], 1.0)))) * grid.slice_duration
         if recovered > 0.0:
             reductions[b.instance_id] = reductions.get(b.instance_id, 0.0) + recovered
@@ -144,83 +200,43 @@ def _bottleneck_reductions(
     return reductions
 
 
-def detect_bottleneck_issues(
+def _bottleneck_what_ifs(
     trace: ExecutionTrace,
-    model: ExecutionModel | None,
     report: BottleneckReport,
     upsampled: UpsampledTrace,
-    attribution: AttributionResult | None = None,
-    *,
-    min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
-    simulator: ReplaySimulator | None = None,
-    resource_groups: dict[str, list[str]] | None = None,
-) -> IssueReport:
-    """Estimate the impact of removing all bottlenecks on each resource.
-
-    ``resource_groups`` evaluates named groups of resources jointly instead
-    of single resources — e.g. ``{"compute": ["cpu@m0", "cpu@m1", ...]}``
-    simulates eliminating *all* CPU bottlenecks cluster-wide, which is how
-    Figure 4 reports bottleneck impact per resource class.
-    """
-    sim = simulator or ReplaySimulator(trace, model)
-    baseline = sim.baseline().makespan
-    issues: list[PerformanceIssue] = []
-
+    attribution: AttributionResult | None,
+    resource_groups: dict[str, list[str]] | None,
+) -> list[_WhatIf]:
+    """One scenario per resource (group): all its bottlenecks removed."""
     if resource_groups is None:
         groups: dict[str, list[str]] = {r: [r] for r in sorted({b.resource for b in report})}
     else:
         groups = dict(resource_groups)
-
+    envelope = _utilization_envelopes(upsampled, attribution)
+    what_ifs: list[_WhatIf] = []
     for subject, members in groups.items():
         reductions: dict[str, float] = {}
         for resource in members:
-            for iid, red in _bottleneck_reductions(
-                resource, trace, report, upsampled, attribution
-            ).items():
+            for iid, red in _bottleneck_reductions(resource, trace, report, envelope).items():
                 reductions[iid] = reductions.get(iid, 0.0) + red
         if not reductions:
             continue
-        durations = {
-            iid: max(trace[iid].duration - red, 0.0) for iid, red in reductions.items()
-        }
-        optimistic = sim.simulate(durations).makespan
-        issue = PerformanceIssue(
+        what_ifs.append(_WhatIf(
             kind="resource-bottleneck",
             subject=subject,
-            description=(
-                f"Removing all bottlenecks on {subject!r} could reduce the makespan by "
-                f"{baseline - optimistic:.3f}s ({(baseline - optimistic) / max(baseline, _EPS):.1%})"
-            ),
-            affected_instances=tuple(sorted(reductions)),
-            baseline_makespan=baseline,
-            optimistic_makespan=optimistic,
-        )
-        if issue.improvement >= min_improvement:
-            issues.append(issue)
-    return IssueReport(baseline_makespan=baseline, issues=issues)
+            action=f"Removing all bottlenecks on {subject!r}",
+            affected=tuple(sorted(reductions)),
+            durations={
+                iid: max(trace[iid].duration - red, 0.0) for iid, red in reductions.items()
+            },
+        ))
+    return what_ifs
 
 
-def detect_imbalance_issues(
-    trace: ExecutionTrace,
-    model: ExecutionModel | None,
-    *,
-    min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
-    min_group_size: int = 2,
-    simulator: ReplaySimulator | None = None,
-) -> IssueReport:
-    """Estimate the impact of perfectly balancing concurrent same-type phases.
-
-    Groups are (parent instance, phase type) sets; only groups whose phase
-    type is marked ``concurrent`` in the model (or any group when no model
-    is given) are considered, and only work within one group is treated as
-    interchangeable — e.g. compute phases of one superstep, never across
-    supersteps.  Issues are reported per phase *type*, rebalancing all of
-    that type's groups at once, which is how Figure 5 aggregates them.
-    """
-    sim = simulator or ReplaySimulator(trace, model)
-    baseline = sim.baseline().makespan
-    issues: list[PerformanceIssue] = []
-
+def _imbalance_what_ifs(
+    trace: ExecutionTrace, model: ExecutionModel | None, min_group_size: int
+) -> list[_WhatIf]:
+    """One scenario per balanceable phase type: all its groups rebalanced."""
     # Collect candidate groups per phase type.
     groups_by_type: dict[str, list[list[str]]] = {}
     for (parent_id, phase_path), insts in trace.concurrent_groups().items():
@@ -235,6 +251,7 @@ def detect_imbalance_issues(
                 continue
         groups_by_type.setdefault(phase_path, []).append([i.instance_id for i in insts])
 
+    what_ifs: list[_WhatIf] = []
     for phase_path, groups in sorted(groups_by_type.items()):
         durations: dict[str, float] = {}
         affected: list[str] = []
@@ -255,22 +272,66 @@ def detect_imbalance_issues(
                         if not trace.children_of(desc):
                             durations[desc.instance_id] = desc.duration * scale
                 affected.append(iid)
-        optimistic = sim.simulate(durations).makespan
-        issue = PerformanceIssue(
+        what_ifs.append(_WhatIf(
             kind="imbalance",
             subject=phase_path,
-            description=(
+            action=(
                 f"Perfectly balancing {len(affected)} {phase_path!r} phases across "
-                f"{len(groups)} group(s) could reduce the makespan by "
-                f"{baseline - optimistic:.3f}s ({(baseline - optimistic) / max(baseline, _EPS):.1%})"
+                f"{len(groups)} group(s)"
             ),
-            affected_instances=tuple(affected),
-            baseline_makespan=baseline,
-            optimistic_makespan=optimistic,
-        )
-        if issue.improvement >= min_improvement:
-            issues.append(issue)
-    return IssueReport(baseline_makespan=baseline, issues=issues)
+            affected=tuple(affected),
+            durations=durations,
+        ))
+    return what_ifs
+
+
+def detect_bottleneck_issues(
+    trace: ExecutionTrace,
+    model: ExecutionModel | None,
+    report: BottleneckReport,
+    upsampled: UpsampledTrace,
+    attribution: AttributionResult | None = None,
+    *,
+    min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
+    simulator: ReplaySimulator | None = None,
+    resource_groups: dict[str, list[str]] | None = None,
+) -> IssueReport:
+    """Estimate the impact of removing all bottlenecks on each resource.
+
+    ``resource_groups`` evaluates named groups of resources jointly instead
+    of single resources — e.g. ``{"compute": ["cpu@m0", "cpu@m1", ...]}``
+    simulates eliminating *all* CPU bottlenecks cluster-wide, which is how
+    Figure 4 reports bottleneck impact per resource class.
+    """
+    return _replay_what_ifs(
+        simulator or ReplaySimulator(trace, model),
+        _bottleneck_what_ifs(trace, report, upsampled, attribution, resource_groups),
+        min_improvement,
+    )
+
+
+def detect_imbalance_issues(
+    trace: ExecutionTrace,
+    model: ExecutionModel | None,
+    *,
+    min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
+    min_group_size: int = _MIN_GROUP_SIZE,
+    simulator: ReplaySimulator | None = None,
+) -> IssueReport:
+    """Estimate the impact of perfectly balancing concurrent same-type phases.
+
+    Groups are (parent instance, phase type) sets; only groups whose phase
+    type is marked ``concurrent`` in the model (or any group when no model
+    is given) are considered, and only work within one group is treated as
+    interchangeable — e.g. compute phases of one superstep, never across
+    supersteps.  Issues are reported per phase *type*, rebalancing all of
+    that type's groups at once, which is how Figure 5 aggregates them.
+    """
+    return _replay_what_ifs(
+        simulator or ReplaySimulator(trace, model),
+        _imbalance_what_ifs(trace, model, min_group_size),
+        min_improvement,
+    )
 
 
 def detect_issues(
@@ -282,11 +343,11 @@ def detect_issues(
     *,
     min_improvement: float = DEFAULT_MIN_IMPROVEMENT,
 ) -> IssueReport:
-    """Run all issue detectors and merge their reports."""
-    sim = ReplaySimulator(trace, model)
-    b = detect_bottleneck_issues(
-        trace, model, report, upsampled, attribution,
-        min_improvement=min_improvement, simulator=sim,
-    )
-    i = detect_imbalance_issues(trace, model, min_improvement=min_improvement, simulator=sim)
-    return IssueReport(baseline_makespan=b.baseline_makespan, issues=b.issues + i.issues)
+    """Run all issue detectors and merge their reports.
+
+    Both detectors share one simulator and one baseline replay, and all of
+    their what-if scenarios replay together in one batched sweep.
+    """
+    what_ifs = _bottleneck_what_ifs(trace, report, upsampled, attribution, None)
+    what_ifs += _imbalance_what_ifs(trace, model, _MIN_GROUP_SIZE)
+    return _replay_what_ifs(ReplaySimulator(trace, model), what_ifs, min_improvement)

@@ -97,7 +97,20 @@ class RuleMatrix:
 
     def __init__(self, *, implicit_rule: Rule = IMPLICIT_RULE) -> None:
         self._entries: list[_RuleEntry] = []
+        # (phase_path, machine, worker, thread, resource) -> resolved rule;
+        # cleared whenever an entry or the implicit rule changes.
+        self._resolved: dict[tuple[str, str | None, str | None, str | None, str], Rule] = {}
         self.implicit_rule = implicit_rule
+
+    @property
+    def implicit_rule(self) -> Rule:
+        """Rule assumed for (phase, resource) pairs no entry matches."""
+        return self._implicit_rule
+
+    @implicit_rule.setter
+    def implicit_rule(self, rule: Rule) -> None:
+        self._implicit_rule = rule
+        self._resolved.clear()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -112,6 +125,7 @@ class RuleMatrix:
         ``{worker}``, ``{thread}``).  Returns ``self`` for chaining.
         """
         self._entries.append(_RuleEntry(phase_path, resource_pattern, rule))
+        self._resolved.clear()
         return self
 
     def set_none(self, phase_path: str, resource_pattern: str) -> "RuleMatrix":
@@ -158,6 +172,22 @@ class RuleMatrix:
             if fnmatch.fnmatchcase(resource_name, pattern):
                 chosen = entry.rule
         return chosen
+
+    def resolve(self, instance: "PhaseInstance", resource_name: str) -> Rule:
+        """:meth:`rule_for`, resolved once per distinct location.
+
+        A rule depends only on the instance's phase path, machine, worker
+        and thread, so lookups are cached by those plus the resource name
+        until the matrix next changes.  ``instance`` may be any object with
+        those four attributes.
+        """
+        key = (
+            instance.phase_path, instance.machine, instance.worker, instance.thread, resource_name
+        )
+        rule = self._resolved.get(key)
+        if rule is None:
+            rule = self._resolved[key] = self.rule_for(instance, resource_name)
+        return rule
 
     def __len__(self) -> int:
         return len(self._entries)

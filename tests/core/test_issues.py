@@ -165,3 +165,36 @@ class TestDetectIssues:
         issues = detect_issues(t, m, report, up, attr)
         top = issues.top(2)
         assert top[0].makespan_reduction >= top[1].makespan_reduction
+
+    def test_one_baseline_and_one_batched_replay(self, monkeypatch):
+        """Both detectors share one baseline replay and one what-if sweep,
+        and the batched makespans equal one replay per scenario."""
+        from repro.core.simulation import ReplaySimulator
+
+        trace = ExecutionTrace()
+        slow = trace.record("/Compute", 0.0, 6.0, instance_id="slow", thread="t0")
+        slow.add_blocking("gc", 0.0, 1.0)
+        trace.record("/Compute", 0.0, 2.0, instance_id="fast", thread="t1")
+        t, m, report, up, attr = full_pipeline(trace, RuleMatrix(), [], model=simple_model())
+        calls = {"simulate": 0, "makespans": []}
+        simulate, makespans = ReplaySimulator.simulate, ReplaySimulator.makespans
+
+        def counted_simulate(self, durations=None):
+            calls["simulate"] += 1
+            return simulate(self, durations)
+
+        def counted_makespans(self, scenarios):
+            calls["makespans"].append(list(scenarios))
+            return makespans(self, scenarios)
+
+        monkeypatch.setattr(ReplaySimulator, "simulate", counted_simulate)
+        monkeypatch.setattr(ReplaySimulator, "makespans", counted_makespans)
+        issues = detect_issues(t, m, report, up, attr)
+        assert calls["simulate"] == 1
+        assert len(calls["makespans"]) == 1
+        scenarios = calls["makespans"][0]
+        assert len(scenarios) == 2  # gc bottleneck + /Compute imbalance
+        sim = ReplaySimulator(t, m)
+        by_subject = {i.subject: i.optimistic_makespan for i in issues}
+        assert by_subject["gc"] == simulate(sim, scenarios[0]).makespan
+        assert by_subject["/Compute"] == simulate(sim, scenarios[1]).makespan

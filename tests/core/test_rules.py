@@ -1,5 +1,7 @@
 """Tests for attribution rules and the rule matrix."""
 
+import fnmatch
+
 import pytest
 
 from repro.core.rules import ExactRule, NoneRule, RuleMatrix, VariableRule
@@ -89,3 +91,102 @@ class TestRuleMatrix:
     def test_len_counts_entries(self):
         rules = RuleMatrix().set_none("/a", "*").set_exact("/b", "*", 0.5)
         assert len(rules) == 2
+
+
+def reference_rule_for(rules: RuleMatrix, instance, resource_name: str):
+    """Uncached resolution: the last entry matching both patterns wins."""
+    attrs = {
+        "machine": instance.machine or "*",
+        "worker": instance.worker or "*",
+        "thread": instance.thread or "*",
+    }
+    chosen = rules.implicit_rule
+    for entry in rules._entries:
+        if fnmatch.fnmatchcase(instance.phase_path, entry.phase_path) and fnmatch.fnmatchcase(
+            resource_name, entry.resource_pattern.format(**attrs)
+        ):
+            chosen = entry.rule
+    return chosen
+
+
+class TestCachedResolution:
+    """``RuleMatrix.resolve`` caches per location and forgets on every change."""
+
+    @pytest.mark.parametrize(
+        "change, expected",
+        [
+            (lambda r: r.set_rule("/Execute/*", "cpu@*", NoneRule()), NoneRule()),
+            (lambda r: r.set_none("/Execute/*", "cpu@*"), NoneRule()),
+            (lambda r: r.set_exact("/Execute/*", "cpu@{machine}", 0.5), ExactRule(0.5)),
+            (lambda r: r.set_variable("/Execute/*", "cpu@*", 3.0), VariableRule(3.0)),
+            (lambda r: r.set_default_rule(ExactRule(0.25)), ExactRule(0.25)),
+        ],
+        ids=["set_rule", "set_none", "set_exact", "set_variable", "set_default_rule"],
+    )
+    def test_every_change_invalidates(self, change, expected):
+        rules = RuleMatrix()
+        inst = make_instance()
+        assert rules.resolve(inst, "cpu@node0") == VariableRule(1.0)
+        change(rules)
+        assert rules.resolve(inst, "cpu@node0") == expected
+
+    def test_implicit_rule_assignment_invalidates(self):
+        rules = RuleMatrix()
+        inst = make_instance()
+        assert rules.resolve(inst, "cpu@node0") == VariableRule(1.0)
+        rules.implicit_rule = NoneRule()
+        assert rules.resolve(inst, "cpu@node0") == NoneRule()
+
+    def test_resolves_once_per_location(self, monkeypatch):
+        rules = RuleMatrix().set_exact("/Execute/Superstep/Compute", "cpu@{machine}", 0.5)
+        calls = []
+        original = RuleMatrix.rule_for
+        monkeypatch.setattr(
+            RuleMatrix, "rule_for", lambda self, i, r: calls.append(r) or original(self, i, r)
+        )
+        for k in range(5):  # distinct ids, one location
+            inst = PhaseInstance(f"i{k}", "/Execute/Superstep/Compute", 0.0, 1.0, machine="node0")
+            assert rules.resolve(inst, "cpu@node0") == ExactRule(0.5)
+        assert rules.resolve(make_instance(machine="node1"), "cpu@node0") == VariableRule(1.0)
+        assert calls == ["cpu@node0", "cpu@node0"]
+
+    def test_unknown_placeholder_still_rejected(self):
+        rules = RuleMatrix().set_variable("/P", "cpu@{nope}")
+        for _ in range(2):  # a failed lookup is not cached
+            with pytest.raises(ValueError, match="placeholder"):
+                rules.resolve(make_instance("/P"), "cpu@node0")
+
+    def test_live_rows_resolve_like_instances(self):
+        from repro.core.incremental import _LiveRow
+
+        rules = (
+            RuleMatrix(implicit_rule=NoneRule())
+            .set_exact("/Execute/Superstep/Compute", "cpu@{machine}", 0.5)
+            .set_variable("/Execute/*", "net@*", 2.0)
+        )
+        row = _LiveRow("r0", "/Execute/Superstep/Compute", 0.0, None, None, "node0", "w0", "t0")
+        inst = make_instance()
+        for resource in ("cpu@node0", "cpu@node1", "net@node0", "disk@node0"):
+            assert rules.resolve(row, resource) == rules.rule_for(inst, resource)
+            assert rules.resolve(inst, resource) == rules.rule_for(inst, resource)
+
+    @pytest.mark.parametrize("system", ["giraph", "powergraph", "sparklike"])
+    def test_shipped_models_match_uncached_reference(self, system):
+        from pathlib import Path
+
+        from repro.adapters import parse_execution_trace
+        from repro.core.model_io import load_models
+        from repro.workloads.archive import _models_for
+        from repro.workloads.runner import WorkloadSpec, run_workload
+
+        run = run_workload(WorkloadSpec(system, "graph500", "pr", preset="tiny")).system_run
+        trace = parse_execution_trace(run.log)
+        _, resources, built = _models_for(run)
+        _, _, shipped = load_models(Path(__file__).parents[2] / "models" / f"{system}.json")
+        names = list(resources.consumable) + list(resources.blocking)
+        for rules in (built, shipped):
+            for inst in trace.instances():
+                for name in names:
+                    expected = reference_rule_for(rules, inst, name)
+                    assert rules.resolve(inst, name) == expected
+                    assert rules.resolve(inst, name) == expected  # from the cache

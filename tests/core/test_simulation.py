@@ -1,6 +1,10 @@
 """Tests for the §III-F trace-replay simulator."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.phases import ExecutionModel
 from repro.core.simulation import (
@@ -9,6 +13,8 @@ from repro.core.simulation import (
     UnknownInstanceError,
 )
 from repro.core.traces import ExecutionTrace
+
+from .replay_oracle import reference_predecessors, reference_replay
 
 
 def bsp_model() -> ExecutionModel:
@@ -180,8 +186,28 @@ class TestUnknownInstanceError:
         assert res.start_of("ss0-c1") == pytest.approx(res.end_of("ss0-c0"))
 
 
+def assert_matches_oracle(sim: ReplaySimulator, scenarios) -> None:
+    """Predecessors, schedules and batched makespans equal the scalar oracle."""
+    preds = reference_predecessors(sim.trace, sim.model)
+    for iid, expected in preds.items():
+        assert sim.predecessors(iid) == expected
+    refs = [reference_replay(sim.trace, sim.model, ov, preds) for ov in scenarios]
+    for ov, ref in zip(scenarios, refs):
+        fast = sim.simulate(ov)
+        assert fast.start == ref.start
+        assert fast.end == ref.end
+    assert sim.makespans(scenarios).tolist() == [ref.makespan for ref in refs]
+
+
+def random_overrides(sim: ReplaySimulator, rng: random.Random, k: int = 25) -> dict:
+    ids = [i.instance_id for i in sim.trace.instances()]
+    overrides = {ids[rng.randrange(len(ids))]: rng.uniform(-0.5, 2.0) for _ in range(min(k, len(ids)))}
+    overrides["no-such-instance"] = 1.0  # silently ignored by both
+    return overrides
+
+
 class TestVectorizedReplayEquivalence:
-    """The level-scheduled array replay must match the scalar reference."""
+    """The join-node level sweep must match the scalar per-edge oracle."""
 
     def _simulator(self) -> ReplaySimulator:
         from repro.adapters import giraph_execution_model, parse_execution_trace
@@ -194,30 +220,166 @@ class TestVectorizedReplayEquivalence:
         return ReplaySimulator(trace, giraph_execution_model())
 
     def test_baseline_matches_scalar_reference(self):
-        sim = self._simulator()
-        fast, ref = sim._simulate(None), sim._simulate_scalar(None)
-        assert fast.start == ref.start
-        assert fast.end == ref.end
+        assert_matches_oracle(self._simulator(), [None])
 
     def test_overrides_match_scalar_reference(self):
-        import random
-
         sim = self._simulator()
         rng = random.Random(11)
-        ids = sim._ids
-        for _ in range(3):
-            overrides = {
-                ids[rng.randrange(len(ids))]: rng.uniform(-0.5, 2.0)
-                for _ in range(min(25, len(ids)))
-            }
-            overrides["no-such-instance"] = 1.0  # silently ignored by both
-            fast, ref = sim._simulate(overrides), sim._simulate_scalar(overrides)
-            assert fast.start == ref.start
-            assert fast.end == ref.end
+        assert_matches_oracle(sim, [None] + [random_overrides(sim, rng) for _ in range(3)])
 
     def test_synthetic_bsp_matches_scalar_reference(self):
         sim = ReplaySimulator(make_bsp_trace([[1.0, 3.0], [2.0, 0.5]]), bsp_model())
-        for overrides in (None, {"ss0-c0": 0.1}, {"ss1-c1": 4.0, "ss0-c1": -1.0}):
-            fast, ref = sim._simulate(overrides), sim._simulate_scalar(overrides)
-            assert fast.start == ref.start
-            assert fast.end == ref.end
+        assert_matches_oracle(
+            sim, [None, {"ss0-c0": 0.1}, {"ss1-c1": 4.0, "ss0-c1": -1.0}]
+        )
+
+    def test_sparklike_stage_dag_matches_scalar_reference(self):
+        from repro.adapters import parse_execution_trace, sparklike_execution_model
+        from repro.workloads.runner import WorkloadSpec, run_workload
+
+        run = run_workload(WorkloadSpec("sparklike", "graph500", "pr", preset="tiny", seed=3))
+        sim = ReplaySimulator(parse_execution_trace(run.system_run.log), sparklike_execution_model())
+        rng = random.Random(5)
+        assert_matches_oracle(sim, [None, random_overrides(sim, rng)])
+
+    def test_barrier_with_late_predecessor_falls_back_to_explicit_edges(self):
+        """A successor leaf replaying before a predecessor leaf must not
+        wait for it, so that block cannot go through a join node."""
+        m = ExecutionModel("m")
+        m.add_phase("/A", concurrent=True)
+        m.add_phase("/B", after="A", concurrent=True)
+        tr = ExecutionTrace()
+        tr.record("/A", 0.0, 1.0, thread="t0", instance_id="a0")
+        tr.record("/A", 0.0, 1.5, thread="t1", instance_id="a1")
+        tr.record("/A", 2.0, 5.0, thread="t2", instance_id="a2")  # after b0
+        tr.record("/B", 1.5, 2.5, thread="t0", instance_id="b0")
+        tr.record("/B", 3.0, 4.0, thread="t1", instance_id="b1")
+        tr.record("/B", 3.0, 3.5, thread="t2", instance_id="b2")
+        sim = ReplaySimulator(tr, m)
+        assert sim.predecessors("b0") == ["a0", "a1", "a2"]
+        base = sim.baseline()
+        assert base.start["b0"] == 1.5  # a2 replays later: ignored
+        assert base.start["b1"] == 3.0  # waits for a2 (replayed at 0-3)
+        assert_matches_oracle(sim, [None, {"a2": 0.1, "a1": 5.0}])
+
+
+# ---------------------------------------------------------------------- #
+# Property test: random traces that exercise every dependency kind
+# ---------------------------------------------------------------------- #
+def property_model() -> ExecutionModel:
+    m = ExecutionModel("prop")
+    m.add_phase("/Load", concurrent=True)
+    m.add_phase("/Run", after="Load")
+    m.add_phase("/Run/Step", repeatable=True)
+    m.add_phase("/Run/Step/Work", concurrent=True)
+    m.add_phase("/Run/Step/Work/Thread", concurrent=True)
+    m.add_phase("/Run/Step/Sync", after="Work", concurrent=True, wait=True)
+    m.add_phase("/Run/Step/Post", after="Sync", concurrent=True)
+    m.add_phase("/Stage", repeatable=True, concurrent=True)
+    m.add_phase("/Stage/Task", concurrent=True)
+    return m
+
+
+_TIMES = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.5])
+_DURS = st.sampled_from([0.0, 0.25, 1.0, 1.0, 2.0])
+_MACHINES = st.sampled_from(["m0", "m1", None])
+_THREADS = st.sampled_from(["t0", "t1", None])
+
+
+@st.composite
+def replay_traces(draw) -> ExecutionTrace:
+    """Small traces with coarse times, so equal ``t_start`` ties and
+    successors that start before their predecessors are common."""
+    tr = ExecutionTrace()
+    counter = iter(range(10_000))
+
+    def rec(path, parent=None, depends_on=None):
+        t0 = draw(_TIMES)
+        return tr.record(
+            path, t0, t0 + draw(_DURS), parent=parent, machine=draw(_MACHINES),
+            thread=draw(_THREADS), instance_id=f"i{next(counter):03d}",
+            depends_on=depends_on,
+        )
+
+    for _ in range(draw(st.integers(0, 2))):
+        rec("/Load")
+    run = rec("/Run")
+    for _ in range(draw(st.integers(0, 3))):
+        step = rec("/Run/Step", parent=run)
+        for _ in range(draw(st.integers(0, 3))):
+            work = rec("/Run/Step/Work", parent=step)
+            for _ in range(draw(st.integers(0, 2))):
+                rec("/Run/Step/Work/Thread", parent=work)
+        for path in ("/Run/Step/Sync", "/Run/Step/Post"):
+            for _ in range(draw(st.integers(0, 2))):
+                rec(path, parent=step)
+    stages: list[str] = []
+    for _ in range(draw(st.integers(0, 3))):
+        parents = draw(st.lists(st.sampled_from(stages), unique=True)) if stages else []
+        stage = rec("/Stage", depends_on=parents)
+        for _ in range(draw(st.integers(0, 3))):
+            rec("/Stage/Task", parent=stage)
+        stages.append(stage.instance_id)
+    return tr
+
+
+class TestReplayProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(trace=replay_traces(), seed=st.integers(0, 2**16))
+    def test_matches_scalar_oracle(self, trace, seed):
+        sim = ReplaySimulator(trace, property_model())
+        rng = random.Random(seed)
+        scenarios = [None]
+        if len(trace):
+            scenarios += [random_overrides(sim, rng, k=5) for _ in range(2)]
+        assert_matches_oracle(sim, scenarios)
+
+
+def make_grid_bsp_trace(workers: int, threads: int, supersteps: int) -> ExecutionTrace:
+    """Giraph-shaped trace: per superstep, per-worker Compute phases with
+    one ComputeThread leaf per thread, then a per-worker barrier."""
+    tr = ExecutionTrace()
+    execute = tr.record("/Execute", 0.0, float(supersteps), instance_id="exec")
+    for s in range(supersteps):
+        ss = tr.record("/Execute/Superstep", s, s + 1.0, parent=execute, instance_id=f"ss{s}")
+        for w in range(workers):
+            machine = f"m{w}"
+            comp = tr.record(
+                "/Execute/Superstep/Compute", s, s + 0.8, parent=ss,
+                machine=machine, worker=f"w{w}", instance_id=f"ss{s}-c{w}",
+            )
+            for t in range(threads):
+                tr.record(
+                    "/Execute/Superstep/Compute/ComputeThread", s, s + 0.5 + 0.01 * t,
+                    parent=comp, machine=machine, worker=f"w{w}", thread=f"{machine}-t{t}",
+                    instance_id=f"ss{s}-c{w}-t{t}",
+                )
+            tr.record(
+                "/Execute/Superstep/Barrier", s + 0.8, s + 1.0, parent=ss,
+                machine=machine, worker=f"w{w}", instance_id=f"ss{s}-b{w}",
+            )
+    return tr
+
+
+def grid_bsp_model() -> ExecutionModel:
+    m = ExecutionModel("grid-bsp")
+    m.add_phase("/Execute")
+    m.add_phase("/Execute/Superstep", repeatable=True)
+    m.add_phase("/Execute/Superstep/Compute", concurrent=True)
+    m.add_phase("/Execute/Superstep/Compute/ComputeThread", concurrent=True)
+    m.add_phase("/Execute/Superstep/Barrier", after="Compute", concurrent=True)
+    return m
+
+
+class TestLinearReplayGraph:
+    def test_edge_count_linear_in_leaves(self):
+        """Barriers go through join nodes: the compiled graph has O(leaves)
+        edges, where the expanded superstep chain alone is quadratic."""
+        trace = make_grid_bsp_trace(workers=8, threads=8, supersteps=6)
+        sim = ReplaySimulator(trace, grid_bsp_model())
+        n_leaves = sum(1 for i in trace.instances() if not trace.children_of(i))
+        bound = 4 * (n_leaves + sim.n_join_nodes)
+        assert sim.n_edges <= bound
+        expanded = sum(len(p) for p in reference_predecessors(trace, grid_bsp_model()).values())
+        assert expanded > bound  # the uncompressed graph would fail the bound
+        assert_matches_oracle(sim, [None, {"ss2-c3-t1": 3.0}])
