@@ -10,9 +10,6 @@ SERVE_DURATION ?= 30
 # Dataset preset for the pipeline bench (tiny keeps CI smoke fast).
 BENCH_PRESET ?= small
 
-# Profile backends the pipeline bench times (docs/columnar.md).
-BENCH_BACKENDS ?= objects,columnar
-
 install:
 	pip install -e .
 
@@ -23,14 +20,13 @@ test:
 # the repo's perf-trajectory baseline.  See DESIGN.md for the schema.
 bench:
 	PYTHONPATH=src python -m repro bench --preset $(BENCH_PRESET) \
-		--backends $(BENCH_BACKENDS) --repeats 3 --out BENCH_pipeline.json
+		--repeats 3 --out BENCH_pipeline.json
 
 # Re-bench and gate against the committed baseline without touching it
 # (exit 4 on regression; thresholds documented in docs/reports.md).
 bench-gate:
 	PYTHONPATH=src python -m repro bench --preset $(BENCH_PRESET) \
-		--backends $(BENCH_BACKENDS) --repeats 3 \
-		--out .bench-candidate.json --diff BENCH_pipeline.json
+		--repeats 3 --out .bench-candidate.json --diff BENCH_pipeline.json
 
 # Drive a live `repro serve --no-suite` with the open-loop load
 # generator for $(SERVE_DURATION)s and (re)write BENCH_serve.json — the
@@ -49,18 +45,21 @@ bench-paper:
 serve-smoke:
 	python scripts/serve_smoke.py
 
-# End-to-end columnar backend smoke: convert a tiny run, round-trip it
-# through the memmap file, check invariants, and diff both backends'
-# pipeline outputs (docs/columnar.md).
+# Columnar storage smoke: save a tiny run's profile, round-trip it through
+# the memmap file byte-for-byte, and check the rebuilt profile's exports
+# and invariants (docs/columnar.md).
 columnar-smoke:
 	PYTHONPATH=src python scripts/columnar_smoke.py
 
-# The repository benchmark's own checks: its unit tests, then a short
-# traced large-trace run (exit 0 means every output matched its reference
-# digest and every stage wrapper was called; perfbench/README.md).
+# The repository benchmark's own checks: its unit tests, then short traced
+# large-trace and paper-grid runs (exit 0 means every output matched its
+# reference digest and every stage wrapper was called; perfbench/README.md).
+# Seed 45 of paper-grid samples a ground truth whose difference-array
+# cancellation once produced a negative monitoring rate.
 perfbench-smoke:
 	python -m pytest perfbench/tests -q
 	python3 perfbench/run.py --workload large-trace --seed 0 --seconds 5 --trace 1
+	python3 perfbench/run.py --workload paper-grid --seed 45 --seconds 5 --trace 1
 
 # Regenerate every paper table/figure at the default preset.
 experiments:

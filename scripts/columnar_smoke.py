@@ -1,56 +1,20 @@
-"""End-to-end smoke test of the columnar profile backend (CI job).
+"""End-to-end smoke test of the columnar profile storage format (CI job).
 
-One tiny run, four checks — a fast standalone version of the full
-differential suite in ``tests/core/test_columnar_equivalence.py``:
+One tiny run, three checks:
 
-1. the pipeline runs under both backends and their exported profiles
-   agree (exact ints/ids, floats within the documented tolerance);
-2. the objects-backend profile converts losslessly to columnar form and
-   back (``from_profile`` / ``to_profile``);
-3. the columnar file round-trips through the memmap format byte-for-byte
-   (``save`` → ``open`` → ``save`` reproduces the file exactly);
-4. the columnar profile passes every pipeline invariant.
+1. the profile's columnar file round-trips through the memmap format
+   byte-for-byte (``save`` → ``open`` → ``save`` reproduces the file);
+2. the profile rebuilt from the memmap-backed file exports exactly like
+   the original (``from_profile`` / ``to_profile`` are lossless);
+3. the rebuilt profile passes every pipeline invariant.
 
 Exit code 0 on success, 1 on any mismatch.  Run via ``make columnar-smoke``.
 """
 
 import json
-import math
 import sys
 import tempfile
 from pathlib import Path
-
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
-
-def approx_equal(a, b, path="$"):
-    """Exact for ints/ids/strings, ``math.isclose`` for floats."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        if sorted(a) != sorted(b):
-            return f"{path}: keys differ: {sorted(set(a) ^ set(b))}"
-        for k in a:
-            err = approx_equal(a[k], b[k], f"{path}.{k}")
-            if err:
-                return err
-        return None
-    if isinstance(a, list) and isinstance(b, list):
-        if len(a) != len(b):
-            return f"{path}: length {len(a)} != {len(b)}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            err = approx_equal(x, y, f"{path}[{i}]")
-            if err:
-                return err
-        return None
-    if isinstance(a, float) and not isinstance(a, bool):
-        if not isinstance(b, (int, float)):
-            return f"{path}: {b!r} is not a number"
-        if not math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL):
-            return f"{path}: {a!r} != {b!r}"
-        return None
-    if a != b:
-        return f"{path}: {a!r} != {b!r}"
-    return None
 
 
 def main() -> int:
@@ -60,60 +24,39 @@ def main() -> int:
 
     spec = WorkloadSpec("giraph", "graph500", "pr", preset="tiny", seed=0)
     print(f"columnar-smoke: running {spec.label} (tiny) ...")
-    run = run_workload(spec)
+    profile = characterize_run(run_workload(spec))
+    cp = ColumnarProfile.from_profile(profile)
 
-    # 1. Differential: both backends on the same artifacts.
-    objects = characterize_run(run, profile_backend="objects")
-    columnar = characterize_run(run, profile_backend="columnar")
-    err = approx_equal(
-        profile_to_dict(objects, series=True), profile_to_dict(columnar, series=True)
-    )
-    if err:
-        print(f"columnar-smoke: FAIL backend outputs differ: {err}")
-        return 1
-    print("columnar-smoke: backend outputs agree")
-
-    # 2. Lossless conversion.
-    cp = ColumnarProfile.from_profile(objects)
-    err = approx_equal(
-        profile_to_dict(objects, series=True),
-        profile_to_dict(cp.to_profile(), series=True),
-    )
-    if err:
-        print(f"columnar-smoke: FAIL conversion round-trip differs: {err}")
-        return 1
-    print(f"columnar-smoke: conversion round-trip OK ({cp.nbytes} column bytes)")
-
-    # 3. Memmap file round-trip, byte-for-byte.
+    # 1. Memmap file round-trip, byte-for-byte.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "profile.g10col"
         cp.save(path)
-        reopened = ColumnarProfile.open(path)  # memmap-backed
-        if not reopened.equals(cp):
-            print("columnar-smoke: FAIL reopened profile differs")
-            return 1
-        resaved = Path(tmp) / "resaved.g10col"
-        reopened.save(resaved)
-        if path.read_bytes() != resaved.read_bytes():
-            print("columnar-smoke: FAIL save(open(f)) is not byte-identical")
-            return 1
-        size = path.stat().st_size
-        err = approx_equal(
-            profile_to_dict(objects, series=True),
-            profile_to_dict(reopened.to_profile(), series=True),
-        )
-        if err:
-            print(f"columnar-smoke: FAIL memmap-backed export differs: {err}")
-            return 1
-    print(f"columnar-smoke: memmap round-trip OK ({size} file bytes)")
+        with ColumnarProfile.open(path) as reopened:  # memmap-backed
+            if not reopened.equals(cp):
+                print("columnar-smoke: FAIL reopened profile differs")
+                return 1
+            resaved = Path(tmp) / "resaved.g10col"
+            reopened.save(resaved)
+            if path.read_bytes() != resaved.read_bytes():
+                print("columnar-smoke: FAIL save(open(f)) is not byte-identical")
+                return 1
+            size = path.stat().st_size
+            print(f"columnar-smoke: memmap round-trip OK ({size} file bytes)")
 
-    # 4. Invariants hold on the columnar profile.
-    report = columnar.check_invariants()
-    if not report.ok:
-        print("columnar-smoke: FAIL invariant violations:")
-        print(report.render())
-        return 1
-    print("columnar-smoke: invariants OK")
+            # 2. The stored profile rebuilds exactly.
+            rebuilt = reopened.to_profile()
+            if profile_to_dict(rebuilt, series=True) != profile_to_dict(profile, series=True):
+                print("columnar-smoke: FAIL rebuilt profile exports differently")
+                return 1
+            print("columnar-smoke: rebuilt profile matches")
+
+            # 3. Invariants hold on the rebuilt profile.
+            report = rebuilt.check_invariants()
+            if not report.ok:
+                print("columnar-smoke: FAIL invariant violations:")
+                print(report.render())
+                return 1
+            print("columnar-smoke: invariants OK")
     print(json.dumps({"columnar_smoke": "ok", "file_bytes": size}))
     return 0
 

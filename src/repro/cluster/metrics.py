@@ -111,7 +111,9 @@ class MetricsRecorder:
             rates = self.rate_on_grid(name, grid)
             edges = grid.edges
             for k in range(grid.n_slices):
-                value = float(rates[k])
+                # Difference-array cancellation can leave a -1e-16 residue
+                # where intervals end; a rate is never negative.
+                value = max(float(rates[k]), 0.0)
                 if rng is not None:
                     if drop_rate > 0 and rng.random() < drop_rate:
                         continue

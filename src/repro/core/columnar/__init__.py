@@ -1,6 +1,6 @@
-"""Dense columnar profile core (ROADMAP item 2).
+"""Columnar profile storage.
 
-``repro.core.columnar`` re-expresses profiles and timelines as flat numpy
+``repro.core.columnar`` re-expresses a finished profile as flat numpy
 column arrays — phase-instance tables, per-resource sample grids, and
 demand/usage matrices — instead of per-event Python object graphs:
 
@@ -11,25 +11,11 @@ demand/usage matrices — instead of per-event Python object graphs:
 * :mod:`.storage` gives it a versioned memmap-backed on-disk layout
   (``ColumnarProfile.save``/``ColumnarProfile.open``) so million-slice
   grids stream through constant memory.
-* :mod:`.pipeline` holds batched fast paths for the hottest pipeline
-  stages — activity rasterization, demand estimation, and the
-  water-filling upsampler — selected through
-  ``Grade10(..., profile_backend="columnar")``.
 
-The contract for the fast paths is *equivalence*: identical integer/id
-outputs and float outputs within the tolerances documented in
-``docs/columnar.md``, enforced by the differential suite in
-``tests/core/test_columnar_equivalence.py``.
+See ``docs/columnar.md`` for the layout and file format.
 """
 
 from .arrays import COLUMN_SPECS, ColumnarProfile
-from .pipeline import (
-    attributable_activity,
-    estimate_demand_columnar,
-    find_bottlenecks_columnar,
-    rasterize_rows,
-    upsample_columnar,
-)
 from .storage import (
     COLUMNAR_FORMAT,
     COLUMNAR_MAGIC,
@@ -44,11 +30,6 @@ __all__ = [
     "COLUMNAR_MAGIC",
     "ColumnarFormatError",
     "ColumnarProfile",
-    "attributable_activity",
-    "estimate_demand_columnar",
-    "find_bottlenecks_columnar",
     "open_columnar",
-    "rasterize_rows",
     "save_columnar",
-    "upsample_columnar",
 ]

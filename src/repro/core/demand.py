@@ -101,22 +101,20 @@ class DemandEstimate:
 
 
 def _demand_row(
-    inst: PhaseInstance,
-    resources: ResourceModel,
-    rules: RuleMatrix,
-    per_resource: dict[str, ResourceDemand],
-) -> list[tuple[ResourceDemand, bool, float]]:
-    """``(demand, is_exact, magnitude)`` of every consumable resource whose
-    rule for ``inst`` is not :class:`NoneRule`, in resource-model order."""
-    row: list[tuple[ResourceDemand, bool, float]] = []
-    for name, res in resources.consumable.items():
+    inst: PhaseInstance, resources: ResourceModel, rules: RuleMatrix
+) -> list[tuple[int, bool, float]]:
+    """``(resource index, is_exact, magnitude)`` of every consumable
+    resource whose rule for ``inst`` is not :class:`NoneRule`, in
+    resource-model order."""
+    row: list[tuple[int, bool, float]] = []
+    for k, (name, res) in enumerate(resources.consumable.items()):
         rule = rules.resolve(inst, name)
         if isinstance(rule, NoneRule):
             continue
         if isinstance(rule, ExactRule):
-            row.append((per_resource[name], True, rule.proportion * res.capacity))
+            row.append((k, True, rule.proportion * res.capacity))
         elif isinstance(rule, VariableRule):
-            row.append((per_resource[name], False, rule.weight))
+            row.append((k, False, rule.weight))
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown rule type {type(rule).__name__}")
     return row
@@ -131,45 +129,53 @@ def estimate_demand(
     """Build the timeslice-granular demand estimation matrix (§III-D1).
 
     Only *attributable* instances (those without concurrently active
-    children, see :meth:`ExecutionTrace.iter_attributable_instances`)
-    generate demand; inner phases are covered by the roll-up of their
-    descendants.  Instances stream through one at a time — per-resource
-    totals accumulate in instance order (so the sums are bit-identical to
-    the historical resource-outer loop) without materializing the full
-    attributable list up front.
+    children, see :meth:`ExecutionTrace.attributable_activity`) generate
+    demand; inner phases are covered by the roll-up of their descendants.
+
+    The kernel works in three batched steps: one rasterization sweep for
+    every instance's activity, rules resolved once per location (a rule
+    depends only on the phase path and the machine/worker/thread), and one
+    ordered ``np.add.at`` of every entry's demand row into its
+    (resource, kind) total.  ``np.add.at`` applies repeated indices in
+    order, so each total is the sequential sum of its entries in instance
+    order.
     """
     consumable = resources.consumable
-    per_resource: dict[str, ResourceDemand] = {
-        name: ResourceDemand(
-            resource=name,
-            capacity=res.capacity,
-            exact_total=np.zeros(grid.n_slices),
-            variable_total=np.zeros(grid.n_slices),
-            entries=[],
-        )
-        for name, res in consumable.items()
-    }
-    # The non-None rules of each location, resolved once: a rule depends
-    # only on the phase path and the machine/worker/thread.
-    rows: dict[tuple, list[tuple[ResourceDemand, bool, float]]] = {}
-    for inst, activity in trace.iter_attributable_instances(grid):
+    n_res = len(consumable)
+    insts, activity = trace.attributable_activity(grid)
+    entries: list[list[DemandEntry]] = [[] for _ in range(n_res)]
+    rows: dict[tuple, list[tuple[int, bool, float]]] = {}
+    src: list[int] = []
+    dst: list[int] = []
+    magnitudes: list[float] = []
+    for r, inst in enumerate(insts):
         location = (inst.phase_path, inst.machine, inst.worker, inst.thread)
         row = rows.get(location)
         if row is None:
-            row = rows[location] = _demand_row(inst, resources, rules, per_resource)
-        for rdemand, is_exact, magnitude in row:
-            entry = DemandEntry(inst, is_exact, magnitude, activity)
-            if is_exact:
-                rdemand.exact_total += entry.demand()
-            else:
-                rdemand.variable_total += entry.demand()
-            rdemand.entries.append(entry)
-    for name, res in consumable.items():
+            row = rows[location] = _demand_row(inst, resources, rules)
+        act = activity[r]
+        for k, is_exact, magnitude in row:
+            entries[k].append(DemandEntry(inst, is_exact, magnitude, act))
+            src.append(r)
+            # Total row 2k holds resource k's exact demand, 2k+1 its weights.
+            dst.append(2 * k + (not is_exact))
+            magnitudes.append(magnitude)
+    totals = np.zeros((2 * n_res, grid.n_slices))
+    if src:
+        rows_demand = activity[src]  # fancy indexing copies: scale in place
+        rows_demand *= np.asarray(magnitudes)[:, None]
+        np.add.at(totals, np.asarray(dst), rows_demand)
+    per_resource: dict[str, ResourceDemand] = {}
+    for k, (name, res) in enumerate(consumable.items()):
+        exact_total = totals[2 * k]
         # Known demand can never exceed capacity: concurrent Exact phases
         # whose proportions sum past 100% contend for the same resource.
-        np.minimum(
-            per_resource[name].exact_total,
-            res.capacity,
-            out=per_resource[name].exact_total,
+        np.minimum(exact_total, res.capacity, out=exact_total)
+        per_resource[name] = ResourceDemand(
+            resource=name,
+            capacity=res.capacity,
+            exact_total=exact_total,
+            variable_total=totals[2 * k + 1],
+            entries=entries[k],
         )
     return DemandEstimate(grid=grid, per_resource=per_resource)

@@ -100,6 +100,9 @@ class RuleMatrix:
         # (phase_path, machine, worker, thread, resource) -> resolved rule;
         # cleared whenever an entry or the implicit rule changes.
         self._resolved: dict[tuple[str, str | None, str | None, str | None, str], Rule] = {}
+        # phase_path -> the entries whose phase pattern matches it, in
+        # entry order; cleared together with ``_resolved``.
+        self._by_phase: dict[str, list[_RuleEntry]] = {}
         self.implicit_rule = implicit_rule
 
     @property
@@ -110,7 +113,7 @@ class RuleMatrix:
     @implicit_rule.setter
     def implicit_rule(self, rule: Rule) -> None:
         self._implicit_rule = rule
-        self._resolved.clear()
+        self._invalidate()
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -125,8 +128,12 @@ class RuleMatrix:
         ``{worker}``, ``{thread}``).  Returns ``self`` for chaining.
         """
         self._entries.append(_RuleEntry(phase_path, resource_pattern, rule))
-        self._resolved.clear()
+        self._invalidate()
         return self
+
+    def _invalidate(self) -> None:
+        self._resolved.clear()
+        self._by_phase.clear()
 
     def set_none(self, phase_path: str, resource_pattern: str) -> "RuleMatrix":
         """Shorthand for ``set_rule(..., NoneRule())``."""
@@ -152,17 +159,22 @@ class RuleMatrix:
         """Resolve the rule applying to ``instance`` on ``resource_name``.
 
         The last matching entry wins; with no match, the implicit rule
-        applies.
+        applies.  The entries whose phase pattern matches a phase path are
+        found once per path, so only those are formatted and matched
+        against ``resource_name``.
         """
         attrs = {
             "machine": instance.machine or "*",
             "worker": instance.worker or "*",
             "thread": instance.thread or "*",
         }
+        entries = self._by_phase.get(instance.phase_path)
+        if entries is None:
+            entries = self._by_phase[instance.phase_path] = [
+                e for e in self._entries if fnmatch.fnmatchcase(instance.phase_path, e.phase_path)
+            ]
         chosen = self.implicit_rule
-        for entry in self._entries:
-            if not fnmatch.fnmatchcase(instance.phase_path, entry.phase_path):
-                continue
+        for entry in entries:
             try:
                 pattern = entry.resource_pattern.format(**attrs)
             except (KeyError, IndexError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phases import PATH_SEPARATOR
-from .timeline import TimeGrid, rasterize_intervals
+from .timeline import TimeGrid, rasterize_intervals, rasterize_rows
 
 __all__ = [
     "BlockingEvent",
@@ -34,7 +34,29 @@ __all__ = [
     "ExecutionTrace",
     "ResourceMeasurement",
     "ResourceTrace",
+    "attributable_rows",
 ]
+
+
+def attributable_rows(raw: np.ndarray, parent: np.ndarray) -> np.ndarray:
+    """Subtract each row's children's activity from it, in place.
+
+    ``raw`` is an ``(n_rows, n_slices)`` activity matrix and ``parent[r]``
+    the row of ``r``'s parent (``-1`` for none).  Every row with children
+    becomes ``clip(raw - sum of its children's raw rows, 0, 1)``; the
+    children are summed in row order by one ordered ``np.add.at``, so each
+    result is bit-identical to accumulating that row's children one by
+    one.  Rows without children are left untouched.  Returns ``raw``.
+    """
+    is_kid = parent >= 0
+    if not np.any(is_kid):
+        return raw
+    kids = np.flatnonzero(is_kid)
+    parents, slot = np.unique(parent[kids], return_inverse=True)
+    child_sum = np.zeros((len(parents), raw.shape[1]))
+    np.add.at(child_sum, slot, raw[kids])
+    raw[parents] = np.clip(raw[parents] - child_sum, 0.0, 1.0)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -282,56 +304,48 @@ class ExecutionTrace:
         arr = np.asarray(ivs, dtype=np.float64)
         return rasterize_intervals(grid, arr[:, 0], arr[:, 1])
 
-    def iter_attributable_instances(self, grid: TimeGrid):
-        """Lazily yield ``(instance, active_fraction_per_slice)`` pairs.
+    def attributable_activity(self, grid: TimeGrid) -> tuple[list[PhaseInstance], np.ndarray]:
+        """Attributable instances and their per-slice active fractions.
 
         An instance is attributable during the parts of its lifetime when
         none of its children are active: inner phases' resource usage is the
         roll-up of their descendants, so attributing to both a parent and
-        its running child would double-count.  Only pairs with strictly
-        positive activity somewhere are yielded.
+        its running child would double-count.  Returns the instances with
+        strictly positive activity somewhere, in insertion order, and the
+        matching ``(n_attributable, n_slices)`` activity matrix.
 
-        Each instance's raw activity is rasterized exactly once (it is
-        needed both at its own visit and — as a child — at its parent's
-        visit) and evicted from the memo as soon as its last consumer has
-        seen it, so the trace never holds more per-slice arrays than the
-        deepest parent/child frontier requires.
+        Every instance's active intervals are rasterized in one
+        :func:`~repro.core.timeline.rasterize_rows` sweep and the child
+        activity is subtracted by :func:`attributable_rows`.
         """
-        # An instance's raw activity is read at its own visit, plus once at
-        # its parent's visit when it has one; parents precede children in
-        # insertion order, so the parent's read always happens first.
-        remaining = {
-            iid: (2 if inst.parent_id is not None else 1)
-            for iid, inst in self._instances.items()
-        }
-        cache: dict[str, np.ndarray] = {}
-
-        def consume(inst: PhaseInstance) -> np.ndarray:
-            iid = inst.instance_id
-            arr = cache.get(iid)
-            if arr is None:
-                arr = self.activity_fraction(inst, grid)
-            remaining[iid] -= 1
-            if remaining[iid] > 0:
-                cache[iid] = arr
-            else:
-                cache.pop(iid, None)
-            return arr
-
-        for inst in self._instances.values():
-            frac = consume(inst)
-            kids = self.children_of(inst)
-            if kids:
-                child_activity = np.zeros(grid.n_slices)
-                for kid in kids:
-                    child_activity += consume(kid)
-                frac = np.clip(frac - child_activity, 0.0, 1.0)
-            if np.any(frac > 0.0):
-                yield inst, frac
+        insts = list(self._instances.values())
+        n = len(insts)
+        if n == 0:
+            return [], np.zeros((0, grid.n_slices))
+        row_of = {inst.instance_id: r for r, inst in enumerate(insts)}
+        rows: list[int] = []
+        starts: list[float] = []
+        ends: list[float] = []
+        for r, inst in enumerate(insts):
+            for s, e in inst.active_intervals():
+                rows.append(r)
+                starts.append(s)
+                ends.append(e)
+        raw = rasterize_rows(grid, np.asarray(rows), np.asarray(starts), np.asarray(ends), n)
+        parent = np.fromiter(
+            (row_of[i.parent_id] if i.parent_id is not None else -1 for i in insts),
+            dtype=np.int64,
+            count=n,
+        )
+        attr = attributable_rows(raw, parent)
+        keep = np.flatnonzero((attr > 0.0).any(axis=1))
+        # Fancy indexing copies, so the full-trace matrix is freed here.
+        return [insts[r] for r in keep], attr[keep]
 
     def attributable_instances(self, grid: TimeGrid) -> list[tuple[PhaseInstance, np.ndarray]]:
-        """Materialized form of :meth:`iter_attributable_instances`."""
-        return list(self.iter_attributable_instances(grid))
+        """:meth:`attributable_activity` as ``(instance, activity)`` pairs."""
+        insts, activity = self.attributable_activity(grid)
+        return list(zip(insts, activity))
 
     def concurrent_groups(self) -> dict[tuple[str | None, str], list[PhaseInstance]]:
         """Group instances by (parent, phase type).

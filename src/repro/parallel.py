@@ -20,9 +20,9 @@ experiment drivers:
     *trace-affecting* inputs only (system name + effective config,
     algorithm, preset, seed, tuned model fingerprints, archive sampling
     parameters).  Downstream knobs — ``tuned``, ``characterize``,
-    ``slice_duration``, ``profile_backend``, fault specs applied later —
-    are excluded, so cells differing only in analysis options share one
-    simulated trace instead of re-simulating it.
+    ``slice_duration``, fault specs applied later — are excluded, so
+    cells differing only in analysis options share one simulated trace
+    instead of re-simulating it.
 
   Every layer uses the same publish discipline: write into a temp
   directory, mark completeness with the layer's marker file, then
@@ -228,7 +228,6 @@ class CellSpec:
     tuned: bool = True
     slice_duration: float = 0.01
     min_phase_duration: float = 0.05
-    profile_backend: str = "objects"
 
     @property
     def label(self) -> str:
@@ -241,10 +240,9 @@ def cell_key_material(cell: CellSpec) -> dict[str, Any]:
     Composition: dataset spec, system name + effective config (every
     tunable constant, including the nested sync-bug config), algorithm,
     seed, model/rule fingerprints, and the archive sampling parameters.
-    The analysis-side options (``characterize``/``slice_duration``/
-    ``profile_backend``) are deliberately **excluded**: they are applied
-    on top of the cached artifacts, so one payload serves every analysis
-    variant.
+    The analysis-side options (``characterize``/``slice_duration``) are
+    deliberately **excluded**: they are applied on top of the cached
+    artifacts, so one payload serves every analysis variant.
 
     Storage no longer keys on this hash directly — payloads live under the
     layered :func:`graph_key_material` / :func:`trace_key_material` keys,
@@ -300,8 +298,7 @@ def trace_key_material(cell: CellSpec) -> dict[str, Any]:
     iteration counts), seed, the *tuned* model fingerprints (the archive's
     ``models.json`` always stores the tuned models, whatever the analysis
     later selects), and the archive sampling parameters.  Downstream knobs
-    (``tuned``, ``characterize``, ``slice_duration``, ``profile_backend``)
-    are excluded: they are applied on top of the archived trace, so one
+    (``tuned``, ``characterize``, ``slice_duration``) are excluded: they are applied on top of the archived trace, so one
     payload serves every analysis variant.
     """
     spec = cell.spec
@@ -575,7 +572,6 @@ def _characterize_payload(cell: CellSpec, directory: Path) -> "PerformanceProfil
         slice_duration=cell.slice_duration,
         tuned=cell.tuned,
         min_phase_duration=cell.min_phase_duration,
-        profile_backend=cell.profile_backend,
     )
 
 
@@ -732,7 +728,6 @@ def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
                 tuned=cell.tuned,
                 slice_duration=cell.slice_duration,
                 min_phase_duration=cell.min_phase_duration,
-                profile_backend=cell.profile_backend,
             )
 
         return CellResult(

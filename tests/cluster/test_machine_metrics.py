@@ -110,6 +110,19 @@ class TestMetricsRecorder:
         trace = MetricsRecorder().sample(1.0)
         assert trace.measured_resources() == []
 
+    def test_sample_never_negative_after_cancelling_intervals(self):
+        """Two overlapping intervals ending in different windows cancel in
+        the difference array to a -1.1e-16 residue; the sample clamps it."""
+        rec = MetricsRecorder()
+        rec.record("cpu", 0.0, 1.2, 0.7)
+        rec.record("cpu", 0.0, 1.6, 0.1)
+        assert rec.rate_on_grid("cpu", TimeGrid.covering(0.0, 2.0, 0.4)).min() < 0.0
+        trace = rec.sample(0.4, t_end=2.0)
+        values = [m.value for m in trace.measurements("cpu")]
+        assert len(values) == 5
+        assert all(v >= 0.0 for v in values)
+        assert values[-1] == 0.0
+
 
 class TestMachine:
     def test_work_records_cpu(self):

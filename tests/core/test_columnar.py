@@ -154,6 +154,23 @@ class TestConversionRoundTrip:
         with pytest.raises(ValueError, match="execution model"):
             cp.to_profile()
 
+    def test_files_with_a_stored_profile_backend_still_open(self, tmp_path):
+        """Files written while the parameters named a pipeline backend open
+        unchanged: the stored key is ignored."""
+        profile = build_profile(
+            {
+                "load_dur": 1.0, "compute_durs": [1.0, 0.5], "barrier_dur": 0.5,
+                "capacity": 4.0, "values": (2.0, 1.0), "block": True,
+                "slice_duration": 0.25,
+            }
+        )
+        params = dict(profile.analysis_params, profile_backend="columnar")
+        path = tmp_path / "old.g10col"
+        ColumnarProfile.from_profile(profile, analysis_params=params).save(path)
+        with ColumnarProfile.open(path) as stored:
+            assert stored.meta["params"]["profile_backend"] == "columnar"
+            assert _export(stored.to_profile()) == _export(profile)
+
 
 # ---------------------------------------------------------------------------
 # TimeGrid: batched lookups agree with the scalar path everywhere.

@@ -127,8 +127,33 @@ class TestCachedResolution:
         rules = RuleMatrix()
         inst = make_instance()
         assert rules.resolve(inst, "cpu@node0") == VariableRule(1.0)
+        assert rules.rule_for(inst, "cpu@node0") == VariableRule(1.0)
         change(rules)
+        # Both the per-location cache and the per-phase-path entry memo
+        # forget the old matrix.
+        assert rules.rule_for(inst, "cpu@node0") == expected
         assert rules.resolve(inst, "cpu@node0") == expected
+
+    def test_phase_path_matched_once_per_entry(self, monkeypatch):
+        rules = (
+            RuleMatrix()
+            .set_exact("/Execute/Superstep/Compute", "cpu@{machine}", 0.5)
+            .set_variable("/Execute/*", "net@*", 2.0)
+            .set_none("/Load/*", "*")
+        )
+        calls = []
+        original = fnmatch.fnmatchcase
+        monkeypatch.setattr(
+            fnmatch, "fnmatchcase", lambda name, pat: calls.append((name, pat)) or original(name, pat)
+        )
+        inst = make_instance()
+        for resource in ("cpu@node0", "cpu@node1", "net@node0", "disk@node0"):
+            assert rules.rule_for(inst, resource) == reference_rule_for(rules, inst, resource)
+        phase_matches = [c for c in calls if c[0] == inst.phase_path]
+        # One memo fill by rule_for (3 entries), plus 3 per reference call.
+        assert len(phase_matches) == 3 + 3 * 4
+        rules.set_none("/Execute/*", "disk@*")
+        assert rules.rule_for(inst, "disk@node0") == NoneRule()
 
     def test_implicit_rule_assignment_invalidates(self):
         rules = RuleMatrix()
@@ -155,6 +180,10 @@ class TestCachedResolution:
         for _ in range(2):  # a failed lookup is not cached
             with pytest.raises(ValueError, match="placeholder"):
                 rules.resolve(make_instance("/P"), "cpu@node0")
+            with pytest.raises(ValueError, match="placeholder"):
+                rules.rule_for(make_instance("/P"), "cpu@node0")
+        # An entry whose phase pattern does not match is never formatted.
+        assert rules.rule_for(make_instance("/Q"), "cpu@node0") == VariableRule(1.0)
 
     def test_live_rows_resolve_like_instances(self):
         from repro.core.incremental import _LiveRow
@@ -190,3 +219,4 @@ class TestCachedResolution:
                     expected = reference_rule_for(rules, inst, name)
                     assert rules.resolve(inst, name) == expected
                     assert rules.resolve(inst, name) == expected  # from the cache
+                    assert rules.rule_for(inst, name) == expected  # from the memo

@@ -1,14 +1,22 @@
-"""Edge-case tests for the upsampling window allocation internals."""
+"""Edge-case tests for the upsampling window allocation.
+
+The window-level cases run the scalar oracle
+(:func:`tests.core.pipeline_oracle.upsample_window`), and the batched
+kernel behind :func:`repro.core.upsample.upsample` must reproduce the
+oracle bit for bit on the same windows.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.demand import estimate_demand
+from repro.core.demand import DemandEstimate, estimate_demand
 from repro.core.resources import ResourceModel
 from repro.core.rules import RuleMatrix
 from repro.core.timeline import TimeGrid
 from repro.core.traces import ExecutionTrace, ResourceTrace
-from repro.core.upsample import _upsample_window, upsample
+from repro.core.upsample import upsample
+
+from . import pipeline_oracle as oracle
 
 
 def demand_for(phases, rules, cap=100.0, n_slices=4):
@@ -24,7 +32,7 @@ def demand_for(phases, rules, cap=100.0, n_slices=4):
 class TestUpsampleWindow:
     def test_zero_total_allocates_nothing(self):
         rdemand, _ = demand_for([("/P", 0.0, 2.0)], RuleMatrix())
-        alloc, unexp = _upsample_window(rdemand, 0, np.ones(2), 0.0)
+        alloc, unexp = oracle.upsample_window(rdemand, 0, np.ones(2), 0.0)
         np.testing.assert_allclose(alloc, 0.0)
         np.testing.assert_allclose(unexp, 0.0)
 
@@ -35,7 +43,7 @@ class TestUpsampleWindow:
         )
         frac = np.array([1.0, 0.5])
         # Exact demand: 50 + 25 = 75; give exactly that.
-        alloc, unexp = _upsample_window(rdemand, 0, frac, 75.0)
+        alloc, unexp = oracle.upsample_window(rdemand, 0, frac, 75.0)
         np.testing.assert_allclose(alloc, [50.0, 25.0])
         np.testing.assert_allclose(unexp, 0.0)
 
@@ -43,7 +51,7 @@ class TestUpsampleWindow:
         rdemand, _ = demand_for(
             [("/P", 0.0, 1.0)], RuleMatrix().set_variable("/P", "cpu"), cap=50.0, n_slices=1
         )
-        alloc, unexp = _upsample_window(rdemand, 0, np.ones(1), 80.0)
+        alloc, unexp = oracle.upsample_window(rdemand, 0, np.ones(1), 80.0)
         # 50 fits under capacity via demand; 30 is unexplained overflow.
         assert alloc[0] == pytest.approx(80.0)
         assert unexp[0] == pytest.approx(30.0)
@@ -57,11 +65,39 @@ class TestUpsampleWindow:
             n_slices=2,
         )
         # Window covers both slices; P active only in slice 0 (demand 20).
-        alloc, unexp = _upsample_window(rdemand, 0, np.ones(2), 60.0)
+        alloc, unexp = oracle.upsample_window(rdemand, 0, np.ones(2), 60.0)
         assert alloc.sum() == pytest.approx(60.0)
         assert alloc[0] >= 20.0  # exact demand satisfied
         assert unexp.sum() == pytest.approx(40.0)
         assert (alloc <= 100.0 + 1e-9).all()
+
+
+@pytest.mark.parametrize(
+    "phases, rules, cap, n_slices, windows",
+    [
+        ([("/P", 0.0, 2.0)], RuleMatrix(), 100.0, 4, [(0.0, 2.0, 0.0)]),
+        ([("/P", 0.0, 2.0)], RuleMatrix().set_exact("/P", "cpu", 0.5), 100.0, 4,
+         [(0.0, 1.5, 50.0)]),
+        ([("/P", 0.0, 1.0)], RuleMatrix().set_variable("/P", "cpu"), 50.0, 1, [(0.0, 1.0, 80.0)]),
+        ([("/P", 0.0, 1.0)], RuleMatrix().set_exact("/P", "cpu", 0.2), 100.0, 2,
+         [(0.0, 2.0, 30.0)]),
+        ([("/P", 0.0, 2.0), ("/Q", 0.5, 3.5)],
+         RuleMatrix().set_exact("/P", "cpu", 0.3).set_variable("/Q", "cpu", 2.0), 100.0, 4,
+         [(0.0, 1.5, 40.0), (1.5, 3.0, 120.0), (3.0, 5.0, 10.0), (0.25, 0.75, 7.0)]),
+    ],
+    ids=["zero", "partial-coverage", "overflow", "unexplained", "overlapping-mixed"],
+)
+def test_kernel_matches_oracle_on_edge_windows(phases, rules, cap, n_slices, windows):
+    rdemand, grid = demand_for(phases, rules, cap=cap, n_slices=n_slices)
+    demand = DemandEstimate(grid=grid, per_resource={"cpu": rdemand})
+    rt = ResourceTrace()
+    for t_start, t_end, value in windows:
+        rt.add_measurement("cpu", t_start, t_end, value)
+    expected = oracle.upsample(rt, demand, grid)["cpu"]
+    actual = upsample(rt, demand, grid)["cpu"]
+    assert np.array_equal(actual.rate, expected.rate)
+    assert np.array_equal(actual.coverage, expected.coverage)
+    assert np.array_equal(actual.unexplained, expected.unexplained)
 
 
 class TestUpsampleIntegration:

@@ -31,7 +31,12 @@ from repro.faults import (
     run_fault_grid,
     write_artifacts,
 )
-from repro.workloads.archive import ArchiveError, ArchiveNotFoundError, characterize_archive
+from repro.workloads.archive import (
+    ArchiveCorruptError,
+    ArchiveError,
+    ArchiveNotFoundError,
+    characterize_archive,
+)
 
 from .conftest import ARCHIVE_FILES, archive_bytes
 
@@ -301,6 +306,17 @@ class TestGracefulDegradation:
         report = profile.check_invariants()
         assert all(v.invariant in INVARIANTS for v in report)
         assert math.isfinite(profile.makespan) and profile.makespan > 0
+
+    def test_zero_makespan_archive_is_refused(self, tiny_archive, tmp_path):
+        """A near-total truncation leaves only zero-length ``/Load`` phases.
+
+        The profile of such a log has makespan 0 and nothing to analyze;
+        it is refused as corrupt instead of passing the invariant check.
+        """
+        dest = tmp_path / "truncated"
+        apply_faults(tiny_archive, dest, [fault_at("truncate_log", 0.9921875)], seed=0)
+        with pytest.raises(ArchiveCorruptError, match="makespan 0"):
+            characterize_archive(dest)
 
     def test_fault_grid_classifies_outcomes(self, tiny_archive, tmp_path):
         cells = run_fault_grid(
