@@ -60,6 +60,7 @@ perfbench-smoke:
 	python -m pytest perfbench/tests -q
 	python3 perfbench/run.py --workload large-trace --seed 0 --seconds 5 --trace 1
 	python3 perfbench/run.py --workload paper-grid --seed 45 --seconds 5 --trace 1
+	python3 perfbench/run.py --workload service-mixed --seed 0 --seconds 5 --trace 1
 
 # Regenerate every paper table/figure at the default preset.
 experiments:

@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument(
         "--window", type=float, default=0.08, metavar="S",
-        help="live analysis window width in seconds for --follow "
+        help="minimum live analysis window width in seconds for --follow; "
+             "each window extends to the next monitoring-sample boundary "
              "(default: %(default)s)",
     )
     p_an.add_argument(

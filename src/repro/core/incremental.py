@@ -1,57 +1,81 @@
 """Live incremental characterization: streaming ingest, windowed analysis.
 
 Grade10's batch pipeline characterizes a run only once its log is
-complete.  :class:`IncrementalProfile` is the streaming counterpart
-(ROADMAP item 2, remaining): it consumes log-event chunks as they
-arrive — raw text via :meth:`IncrementalProfile.feed_text` (backed by
+complete.  :class:`IncrementalProfile` is the streaming counterpart: it
+consumes log-event chunks as they arrive — raw text via
+:meth:`IncrementalProfile.feed_text` (backed by
 :class:`~repro.systems.logging.JsonlStream`) or decoded events via
 :meth:`IncrementalProfile.feed` — and maintains two planes of state:
 
 * a **builder** that incrementally mirrors the batch parser's state
-  (phase starts/ends, resolved blocking intervals, GC events) with O(1)
-  dict updates per event, and
+  (phase instances, resolved blocking intervals, GC phases) with O(1)
+  updates per event, and
 * a **windowed live analyzer** that, as the *sealed watermark* advances,
-  runs per-window attribution and bottleneck detection over fixed-size
-  slice windows using the batch pipeline's kernels
-  (:func:`~repro.core.timeline.rasterize_rows` and
-  :func:`~repro.core.traces.attributable_rows` on a window-local grid),
-  pruning rows whose phases ended before the window — a window never
-  re-walks the full history.
+  runs the batch stages — :func:`~repro.core.demand.estimate_demand`,
+  :func:`~repro.core.upsample.upsample`,
+  :func:`~repro.core.attribution.attribute` and
+  :func:`~repro.core.bottlenecks.find_bottlenecks` — on a window-local
+  trace: the phase instances overlapping the window, clipped to it, and
+  the monitoring samples that start in it.  Instances that ended before
+  the window are pruned, so a window never re-walks the full history.
 
-The two planes have different contracts, stated bluntly:
+Both planes are exact:
 
-* **Live windows are monotone estimates.**  A window is analyzed once,
-  when every event that can affect it has necessarily arrived (the
-  watermark is ``min(last event time, earliest unresolved block start)``),
-  and never revisited.  Saturation/exact-cap detection inside a window
-  uses measured utilization directly, so mid-run numbers are advisory:
-  they exist to *watch bottlenecks form*, feeding the SSE bus, the
-  ``/runs/<id>/bottlenecks`` endpoint, and the ``--follow`` CLI table.
-  Blocking bottleneck seconds, by contrast, accumulate exactly: a
-  resolved block's raw duration is final the moment ``block_end`` lands.
-* **The final profile is exact.**  :meth:`IncrementalProfile.finalize`
-  replays the accumulated events through the batch pipeline
-  (:class:`~repro.core.profile.Grade10`), so feeding a log in chunks of *any*
-  size — including 1-event chunks and mid-record byte splits — yields an
-  attribution/bottleneck output bit-identical to the one-shot batch run.
-  The differential suite in ``tests/core/test_incremental.py`` enforces
-  this on all three golden systems.
+* **Live windows sum to the batch report.**  Demand and attribution work
+  slice by slice, and the upsampler spreads each monitoring sample over
+  the slices it covers independently of every other sample and of every
+  other resource.  A window therefore reproduces the batch profile on its
+  slices as long as no sample is split between two windows, so each
+  resource's part of a window ends on a *clean cut*: a slice edge none of
+  that resource's samples straddles.  ``window_slices`` is the minimum
+  width; each resource extends it to its own next sample boundary (a
+  multiple of 40 slices with 0.4 s monitoring and 10 ms slices), so
+  exporters that sample at different phases on different machines still
+  seal windows.  The window's frontier advances to the first slice an
+  unanalyzed sample covers.  Summed over a run, the live saturation and
+  exact-cap seconds equal the batch report's.  Blocking seconds
+  accumulate as each ``block_end`` lands, and a resolved block's raw
+  duration is final.
+* **The final profile is bit-identical to batch.**
+  :meth:`IncrementalProfile.finalize` analyzes the remaining windows, then
+  replays the accumulated events through
+  :class:`~repro.core.profile.Grade10`, so feeding a log in chunks of
+  *any* size — including 1-event chunks and mid-record byte splits —
+  yields the one-shot batch output.  The differential suite in
+  ``tests/core/test_incremental.py`` enforces this on all three golden
+  systems.
+
+A window is analyzed once, when every event that can affect it has
+necessarily arrived, and never revisited.  The emitters write events in
+the order of their *present-time* stamps — the ``t`` of ``phase_start``,
+``phase_end``, ``block_start`` and ``gc`` — so the watermark is the newest
+such stamp, floored at the earliest unresolved ``block_start``.  A
+``block_end`` and the ``t_end`` of a ``gc`` event are written ahead of
+time (both halves of a block are logged when it begins) and do not move
+the watermark.  Known limitation: giraph logs a message-queue stall when
+the stall ends, so that ``block_start`` can arrive behind the watermark
+(one such event on giraph small graph500/pr seed 0); a window sealed in
+between misses the block's effect on activity.  Likewise, when machine
+clocks disagree, the fast machines' stamps move the watermark ahead of
+the slow machines' events, so the live seconds drift from the batch
+report (the final profile does not).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from bisect import insort
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
-import numpy as np
-
-from .bottlenecks import EXACT_CAP_THRESHOLD, SATURATION_THRESHOLD
-from .profile import DEFAULT_SLICE_DURATION, Grade10, PerformanceProfile
+from .bottlenecks import EXACT_CAP_THRESHOLD, SATURATION_THRESHOLD, BottleneckKind
+from .outliers import DEFAULT_MIN_PHASE_DURATION
 from .phases import ExecutionModel
+from .profile import DEFAULT_SLICE_DURATION, Grade10, PerformanceProfile
 from .resources import ResourceModel
-from .rules import ExactRule, NoneRule, RuleMatrix
-from .timeline import TimeGrid, rasterize_rows
-from .traces import ResourceTrace, attributable_rows
+from .rules import RuleMatrix
+from .timeline import TimeGrid
+from .traces import ExecutionTrace, PhaseInstance, ResourceMeasurement, ResourceTrace
 from ..systems.logging import EventLog, JsonlStream
 
 __all__ = [
@@ -61,14 +85,19 @@ __all__ = [
     "WindowSummary",
 ]
 
-_EPS = 1e-12
-
-#: Default analysis window width, in timeslices (0.64 s at the default
-#: 10 ms slice): wide enough to amortize the kernel launches, narrow
-#: enough that the follow table refreshes several times per simulated run.
-#: Callers sizing for a known makespan (the live job executor) pick a
-#: width that yields a handful of windows per run.
+#: Default minimum analysis window width, in timeslices (0.64 s at the
+#: default 10 ms slice; with 0.4 s monitoring a window then spans two
+#: samples, 0.8 s): wide enough to amortize the per-window stage calls,
+#: narrow enough that the follow table refreshes several times per run.
 DEFAULT_WINDOW_SLICES = 64
+
+#: Log events whose ``t`` is the time they are written at (see the module
+#: docstring); only these advance the watermark.
+_PRESENT_TIME_EVENTS = frozenset({"phase_start", "phase_end", "block_start", "gc"})
+
+#: Length of the reference grid that numbers slices from the live origin:
+#: longer than any run (about 350 years of 10 ms slices).
+_REFERENCE_SLICES = 2**40
 
 
 @dataclass(frozen=True)
@@ -123,50 +152,6 @@ class WindowSummary:
         }
 
 
-@dataclass
-class _LiveRow:
-    """Lightweight mirror of one phase instance for windowed analysis."""
-
-    iid: str
-    path: str
-    t_start: float
-    t_end: float | None  # None while the phase is open
-    parent: str | None
-    machine: str | None
-    worker: str | None
-    thread: str | None
-    blocked: list[tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def phase_path(self) -> str:
-        """Alias so :meth:`RuleMatrix.resolve` can match live rows."""
-        return self.path
-
-    def active_intervals(self, cap: float) -> list[tuple[float, float]]:
-        """``[t_start, min(end, cap))`` minus the resolved blocked spans."""
-        end = cap if self.t_end is None else min(self.t_end, cap)
-        if end <= self.t_start:
-            return []
-        merged: list[list[float]] = []
-        for b0, b1 in sorted(self.blocked):
-            b0, b1 = max(b0, self.t_start), min(b1, end)
-            if b1 <= b0:
-                continue
-            if merged and b0 <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b1)
-            else:
-                merged.append([b0, b1])
-        out: list[tuple[float, float]] = []
-        cursor = self.t_start
-        for b0, b1 in merged:
-            if b0 > cursor:
-                out.append((cursor, b0))
-            cursor = max(cursor, b1)
-        if cursor < end:
-            out.append((cursor, end))
-        return out
-
-
 class IncrementalProfile:
     """Streaming profile: feed log chunks, watch bottlenecks form, finalize.
 
@@ -176,7 +161,9 @@ class IncrementalProfile:
     controls:
 
     ``window_slices``
-        Width of each live analysis window, in timeslices.
+        Minimum width of each live analysis window, in timeslices; each
+        resource's part of a window extends to the next slice edge none
+        of its monitoring samples straddles.
     ``on_window`` / ``on_bottleneck``
         Callbacks invoked synchronously from :meth:`advance` — the hook
         points the serving layer uses to publish ``window.analyzed`` /
@@ -192,6 +179,7 @@ class IncrementalProfile:
         slice_duration: float = DEFAULT_SLICE_DURATION,
         saturation_threshold: float = SATURATION_THRESHOLD,
         exact_cap_threshold: float = EXACT_CAP_THRESHOLD,
+        min_phase_duration: float = DEFAULT_MIN_PHASE_DURATION,
         include_blocking: bool = True,
         include_gc_phases: bool = False,
         window_slices: int = DEFAULT_WINDOW_SLICES,
@@ -200,12 +188,17 @@ class IncrementalProfile:
     ) -> None:
         if window_slices <= 0:
             raise ValueError(f"window_slices must be > 0, got {window_slices}")
-        self.execution_model = execution_model
-        self.resource_model = resource_model
-        self.rules = rules if rules is not None else RuleMatrix()
+        #: The batch pipeline every window and :meth:`finalize` run through.
+        self.grade10 = Grade10(
+            execution_model,
+            resource_model,
+            rules,
+            slice_duration=slice_duration,
+            saturation_threshold=saturation_threshold,
+            exact_cap_threshold=exact_cap_threshold,
+            min_phase_duration=min_phase_duration,
+        )
         self.slice_duration = slice_duration
-        self.saturation_threshold = saturation_threshold
-        self.exact_cap_threshold = exact_cap_threshold
         self.include_blocking = include_blocking
         self.include_gc_phases = include_gc_phases
         self.window_slices = window_slices
@@ -216,19 +209,20 @@ class IncrementalProfile:
         self._events: list[dict[str, Any]] = []
         self._stream = JsonlStream()
 
-        # Builder plane (mirrors the batch parser's dicts).
-        self._row_of: dict[str, _LiveRow] = {}
-        self._rows: list[_LiveRow] = []  # emission order, pruned copy below
+        # Builder plane (mirrors the batch parser's dicts).  An open
+        # phase's instance carries ``t_end = inf`` until its end arrives.
+        self._instances: dict[str, PhaseInstance] = {}
         self._pending_blocks: dict[tuple[str, str], float] = {}
-        self._blocking_acc: dict[tuple[str, str], float] = {}
+        self._n_gc = 0
 
         # Live analysis plane.
-        self._live_rows: list[_LiveRow] = []  # rows not yet behind the watermark
-        self._meas: dict[str, list[tuple[float, float, float]]] = {}  # pruned live view
-        self._meas_all: dict[str, list[tuple[float, float, float]]] = {}  # for finalize
-        self._rule_cache: dict[tuple[str, str], tuple[bool, float] | None] = {}
+        self._live: list[PhaseInstance] = []  # instances not yet behind the frontier
+        # Unanalyzed monitoring samples per consumable resource, by start.
+        self._samples: dict[str, list[ResourceMeasurement]] = {}
+        self._resource_trace = ResourceTrace()  # every sample, for finalize
         self._t0: float | None = None  # live grid origin
-        self._last_t = float("-inf")
+        self._last_t = float("-inf")  # newest present-time stamp
+        self._horizon = float("-inf")  # newest stamp of any kind
         self._analyzed_slices = 0
         self._finalized = False
 
@@ -256,9 +250,14 @@ class IncrementalProfile:
         return self.advance()
 
     def feed_measurement(self, resource: str, t_start: float, t_end: float, value: float) -> None:
-        """Feed one monitoring sample (used by the live utilization view)."""
-        self._meas.setdefault(resource, []).append((t_start, t_end, value))
-        self._meas_all.setdefault(resource, []).append((t_start, t_end, value))
+        """Feed one monitoring sample (average rate over ``[t_start, t_end)``)."""
+        self._resource_trace.add_measurement(resource, t_start, t_end, value)
+        if resource in self.grade10.resource_model.consumable:
+            insort(
+                self._samples.setdefault(resource, []),
+                ResourceMeasurement(resource, t_start, t_end, value),
+                key=lambda m: m.t_start,
+            )
 
     def feed_resource_trace(self, resource_trace: ResourceTrace) -> None:
         """Bulk-feed monitoring samples from a resource trace."""
@@ -266,73 +265,73 @@ class IncrementalProfile:
             for m in resource_trace.measurements(name):
                 self.feed_measurement(name, m.t_start, m.t_end, m.value)
 
+    def _begin(self, inst: PhaseInstance) -> None:
+        self._instances[inst.instance_id] = inst
+        self._live.append(inst)
+        # The origin is fixed once a window is sealed: moving it would
+        # renumber slices already analyzed.
+        if self._t0 is None or (inst.t_start < self._t0 and not self.windows_analyzed):
+            self._t0 = inst.t_start
+
     def _ingest(self, ev: dict[str, Any]) -> None:
         kind = ev.get("event")
         t = float(ev.get("t", 0.0))
-        self._last_t = max(self._last_t, t, float(ev.get("t_end", 0.0)))
+        self._horizon = max(self._horizon, t, float(ev.get("t_end", 0.0)))
+        if kind in _PRESENT_TIME_EVENTS:
+            self._last_t = max(self._last_t, t)
         if kind == "phase_start":
-            iid = ev["id"]
-            if iid in self._row_of:
+            if ev["id"] in self._instances:
                 return  # duplicate start: first wins, like the batch parser
-            row = _LiveRow(
-                iid=iid,
-                path=ev["path"],
-                t_start=t,
-                t_end=None,
-                parent=ev.get("parent"),
-                machine=ev.get("machine"),
-                worker=ev.get("worker"),
-                thread=ev.get("thread"),
+            self._begin(
+                PhaseInstance(
+                    instance_id=ev["id"],
+                    phase_path=ev["path"],
+                    t_start=t,
+                    t_end=math.inf,
+                    parent_id=ev.get("parent"),
+                    machine=ev.get("machine"),
+                    worker=ev.get("worker"),
+                    thread=ev.get("thread"),
+                )
             )
-            self._row_of[iid] = row
-            self._live_rows.append(row)
-            if self._t0 is None or t < self._t0:
-                self._t0 = t
         elif kind == "phase_end":
-            row = self._row_of.get(ev["id"])
-            if row is not None and row.t_end is None:
-                row.t_end = t
+            inst = self._instances.get(ev["id"])
+            if inst is not None and inst.t_end == math.inf:
+                inst.t_end = t
         elif kind == "block_start":
             self._pending_blocks[(ev["id"], ev["resource"])] = t
         elif kind == "block_end":
-            key = (ev["id"], ev["resource"])
-            t0 = self._pending_blocks.pop(key, None)
+            t0 = self._pending_blocks.pop((ev["id"], ev["resource"]), None)
             if t0 is None or t < t0:
                 return
-            row = self._row_of.get(ev["id"])
-            if row is not None and self.include_blocking:
-                row.blocked.append((t0, t))
-                acc_key = (ev["id"], ev["resource"])
-                self._blocking_acc[acc_key] = self._blocking_acc.get(acc_key, 0.0) + (t - t0)
+            inst = self._instances.get(ev["id"])
+            if inst is not None and self.include_blocking:
+                inst.add_blocking(ev["resource"], t0, t)
                 self._note_bottleneck(
                     LiveBottleneck(
-                        kind="blocking",
-                        instance_id=ev["id"],
-                        phase_path=row.path,
+                        kind=BottleneckKind.BLOCKING.value,
+                        instance_id=inst.instance_id,
+                        phase_path=inst.phase_path,
                         resource=ev["resource"],
                         duration=t - t0,
                         window=self.windows_analyzed,
                     )
                 )
-        elif kind == "gc" and self.include_gc_phases:
-            t_end = float(ev["t_end"])
-            machine = ev.get("machine")
-            k = sum(1 for r in self._row_of.values() if r.path == "/GC")
-            iid = f"/GC#{machine}#{k}"
-            row = _LiveRow(
-                iid=iid,
-                path="/GC",
-                t_start=t,
-                t_end=t_end,
-                parent=None,
-                machine=machine,
-                worker=machine,
-                thread=None,
-            )
-            self._row_of[iid] = row
-            self._live_rows.append(row)
-            if self._t0 is None or t < self._t0:
-                self._t0 = t
+        elif kind == "gc":
+            # Numbered over every gc event, like the batch parser's ids.
+            k, self._n_gc = self._n_gc, self._n_gc + 1
+            if self.include_gc_phases:
+                machine = ev.get("machine")
+                self._begin(
+                    PhaseInstance(
+                        instance_id=f"/GC#{machine}#{k}",
+                        phase_path="/GC",
+                        t_start=t,
+                        t_end=float(ev["t_end"]),
+                        machine=machine,
+                        worker=machine,
+                    )
+                )
 
     # ------------------------------------------------------------------ #
     # Live windowed analysis
@@ -348,15 +347,50 @@ class IncrementalProfile:
     def _safe_time(self) -> float:
         """Largest time every relevant event has necessarily arrived for.
 
-        The emitters write events in time order, so nothing earlier than
-        the newest timestamp can still arrive; an unresolved block makes
-        activity unknowable from its start onward, so the watermark also
-        floors at the earliest pending ``block_start``.
+        Nothing earlier than the newest present-time stamp can still
+        arrive; an unresolved block makes activity unknowable from its
+        start onward, so the watermark also floors at the earliest pending
+        ``block_start``.
         """
         safe = self._last_t
         if self._pending_blocks:
             safe = min(safe, min(self._pending_blocks.values()))
         return safe
+
+    def _reference_grid(self) -> TimeGrid:
+        """Slices numbered from the live origin, as the batch grid numbers them."""
+        assert self._t0 is not None
+        return TimeGrid(self._t0, self.slice_duration, _REFERENCE_SLICES)
+
+    def _next_window(self, limit: int = _REFERENCE_SLICES) -> tuple[int, int, dict[str, int]]:
+        """Plan the window that starts at the analyzed frontier.
+
+        Each resource takes its pending samples that start before the
+        minimum end, ``window_slices`` past the frontier, and every later
+        sample that overlaps the ones taken, so none of its samples is
+        split between two windows.  Cuts are per resource: monitoring
+        that is not phase-aligned across machines never forces a window
+        to grow.  Returns the window grid's end (past every taken sample,
+        capped at ``limit``), the new frontier (the first slice an untaken
+        sample covers: every resource's slices before it are final), and
+        how many samples each resource takes.
+        """
+        ref = self._reference_grid()
+        hi = self._analyzed_slices + self.window_slices
+        end, frontier = hi, limit
+        taken: dict[str, int] = {}
+        for resource, samples in self._samples.items():
+            n, cut = 0, hi
+            for m in samples:  # sorted by start: one scan per resource
+                m_lo, m_hi = ref.slice_range(m.t_start, m.t_end)
+                if m_lo >= cut:
+                    frontier = min(frontier, m_lo)
+                    break
+                n, cut = n + 1, max(cut, m_hi)
+            taken[resource] = n
+            end = max(end, cut)
+        end = min(end, limit)
+        return end, min(frontier, end), taken
 
     def advance(self) -> list[WindowSummary]:
         """Analyze every window now fully behind the sealed watermark."""
@@ -365,13 +399,11 @@ class IncrementalProfile:
         sd = self.slice_duration
         safe = self._safe_time()
         out: list[WindowSummary] = []
-        while True:
-            lo = self._analyzed_slices
-            hi = lo + self.window_slices
-            if self._t0 + hi * sd > safe:
+        while self._t0 + (self._analyzed_slices + self.window_slices) * sd <= safe:
+            end, frontier, taken = self._next_window()
+            if self._t0 + end * sd > safe:
                 break
-            out.append(self._analyze_window(lo, hi))
-            self._analyzed_slices = hi
+            out.append(self._analyze_window(end, frontier, taken))
         return out
 
     def _note_bottleneck(self, b: LiveBottleneck) -> None:
@@ -381,163 +413,64 @@ class IncrementalProfile:
         if self.on_bottleneck is not None:
             self.on_bottleneck(b)
 
-    def _window_rule(self, row: _LiveRow, resource: str) -> tuple[bool, float] | None:
-        """Resolved ``(is_exact, magnitude)`` for a row, cached per id."""
-        key = (row.iid, resource)
-        if key in self._rule_cache:
-            return self._rule_cache[key]
-        rule = self.rules.resolve(row, resource)  # duck-typed: path + location
-        if isinstance(rule, NoneRule):
-            resolved: tuple[bool, float] | None = None
-        elif isinstance(rule, ExactRule):
-            resolved = (True, rule.proportion * self.resource_model.consumable[resource].capacity)
-        else:
-            resolved = (False, rule.weight)
-        self._rule_cache[key] = resolved
-        return resolved
+    def _analyze_window(self, end: int, frontier: int, taken: dict[str, int]) -> WindowSummary:
+        """Run the batch stages on slices ``[analyzed, end)``, up to ``frontier``.
 
-    def _window_utilization(self, resource: str, win: TimeGrid) -> np.ndarray | None:
-        """Measured per-slice utilization inside one window, or None."""
-        ms = self._meas.get(resource)
-        if not ms:
-            return None
-        capacity = self.resource_model.consumable[resource].capacity
-        t_lo, t_hi = win.t0, win.t_end
-        amount = np.zeros(win.n_slices)
-        cover = np.zeros(win.n_slices)
-        edges = win.edges
-        keep: list[tuple[float, float, float]] = []
-        for m0, m1, val in ms:
-            if m1 > t_lo:
-                keep.append((m0, m1, val))
-            if m1 <= t_lo or m0 >= t_hi:
-                continue
-            frac = np.clip(
-                (np.minimum(edges[1:], m1) - np.maximum(edges[:-1], m0)) / win.slice_duration,
-                0.0,
-                1.0,
-            )
-            amount += frac * val
-            cover += frac
-        self._meas[resource] = keep  # windows are monotone: drop consumed samples
-        util = np.divide(amount, cover, out=np.zeros_like(amount), where=cover > _EPS)
-        return util / capacity
-
-    def _analyze_window(self, lo: int, hi: int) -> WindowSummary:
-        sd = self.slice_duration
+        Slices past ``frontier`` are in the grid for the resources whose
+        taken samples cover them; every other resource has no sample
+        there, so they count toward no bottleneck until a later window.
+        """
         assert self._t0 is not None
-        win = TimeGrid(t0=self._t0 + lo * sd, slice_duration=sd, n_slices=hi - lo)
-        cap = win.t_end
+        lo, sd = self._analyzed_slices, self.slice_duration
+        grid = TimeGrid(t0=self._t0 + lo * sd, slice_duration=sd, n_slices=end - lo)
+        t_lo, t_hi = grid.t0, grid.t_end
 
-        # Select rows overlapping the window; prune rows fully behind it.
-        # This keeps each window's work proportional to live concurrency,
-        # not to run length.
-        live: list[_LiveRow] = []
-        rows: list[_LiveRow] = []
-        for row in self._live_rows:
-            if row.t_end is not None and row.t_end <= win.t0:
-                continue  # ended before this window: never needed again
-            live.append(row)
-            if row.t_start < cap:
-                rows.append(row)
-        self._live_rows = live
+        # The window's execution trace: every instance overlapping it,
+        # clipped to it.  Instances that ended before it are never needed
+        # again, which keeps a window's work proportional to live
+        # concurrency, not to run length.
+        self._live = [inst for inst in self._live if inst.t_end > t_lo]
+        trace = ExecutionTrace()
+        for inst in self._live:
+            t_start, t_end = max(inst.t_start, t_lo), min(inst.t_end, t_hi)
+            if t_end <= t_start:
+                continue  # starts after the window, or a malformed end stamp
+            parent = inst.parent_id if inst.parent_id in trace else None
+            trace.add(replace(inst, t_start=t_start, t_end=t_end, parent_id=parent))
 
+        # The window's samples, each upsampled whole.
+        samples = ResourceTrace()
+        for resource, n in taken.items():
+            for m in self._samples[resource][:n]:
+                samples.add_measurement(resource, m.t_start, m.t_end, m.value)
+            del self._samples[resource][:n]
+
+        *_, report = self.grade10.detect(trace, samples, grid)
         bottlenecks: list[LiveBottleneck] = []
-        n_rows = len(rows)
-        if n_rows:
-            local = {row.iid: r for r, row in enumerate(rows)}
-            idx: list[int] = []
-            starts: list[float] = []
-            ends: list[float] = []
-            for r, row in enumerate(rows):
-                for s, e in row.active_intervals(cap):
-                    idx.append(r)
-                    starts.append(s)
-                    ends.append(e)
-            raw = rasterize_rows(
-                win,
-                np.asarray(idx, dtype=np.int64),
-                np.asarray(starts, dtype=np.float64),
-                np.asarray(ends, dtype=np.float64),
-                n_rows,
+        for b in report:
+            if b.kind is BottleneckKind.BLOCKING:
+                continue  # counted when each block_end lands
+            live = LiveBottleneck(
+                kind=b.kind.value,
+                instance_id=b.instance_id,
+                phase_path=b.phase_path,
+                resource=b.resource,
+                duration=b.duration,
+                window=self.windows_analyzed,
             )
-            parent = np.fromiter(
-                (local.get(row.parent, -1) if row.parent is not None else -1 for row in rows),
-                dtype=np.int64,
-                count=n_rows,
-            )
-            attr = attributable_rows(raw, parent)
+            bottlenecks.append(live)
+            self._note_bottleneck(live)
 
-            sat_floor = sd / 2
-            for resource in self.resource_model.consumable:
-                util = self._window_utilization(resource, win)
-                if util is None:
-                    continue
-                demand = np.zeros_like(attr)
-                is_exact = np.zeros(n_rows, dtype=bool)
-                exact_total = np.zeros(win.n_slices)
-                for r, row in enumerate(rows):
-                    resolved = self._window_rule(row, resource)
-                    if resolved is None:
-                        continue
-                    is_exact[r], magnitude = resolved
-                    demand[r] = magnitude * attr[r]
-                    if is_exact[r]:
-                        exact_total += demand[r]
-                active = demand > _EPS
-                saturated = util >= self.saturation_threshold
-                sat = active & saturated[None, :]
-                sat_times = sat.sum(axis=1).astype(np.float64) * sd
-                # Live exact-cap estimate: the batch upsampler satisfies
-                # exact demand first, so exact rows run at (nearly) full
-                # demand whenever the measured amount covers the summed
-                # exact demand — test that supply ratio per slice.
-                capacity = self.resource_model.consumable[resource].capacity
-                supply = np.divide(
-                    util * capacity,
-                    exact_total,
-                    out=np.full(win.n_slices, np.inf),
-                    where=exact_total > _EPS,
-                )
-                capped = (
-                    active
-                    & is_exact[:, None]
-                    & (supply[None, :] >= self.exact_cap_threshold)
-                    & ~saturated[None, :]
-                )
-                cap_times = capped.sum(axis=1).astype(np.float64) * sd
-                for r, row in enumerate(rows):
-                    if sat_times[r] >= sat_floor:
-                        b = LiveBottleneck(
-                            kind="saturation",
-                            instance_id=row.iid,
-                            phase_path=row.path,
-                            resource=resource,
-                            duration=float(sat_times[r]),
-                            window=self.windows_analyzed,
-                        )
-                        bottlenecks.append(b)
-                        self._note_bottleneck(b)
-                    if is_exact[r] and cap_times[r] >= sat_floor:
-                        b = LiveBottleneck(
-                            kind="exact-cap",
-                            instance_id=row.iid,
-                            phase_path=row.path,
-                            resource=resource,
-                            duration=float(cap_times[r]),
-                            window=self.windows_analyzed,
-                        )
-                        bottlenecks.append(b)
-                        self._note_bottleneck(b)
-
+        self._analyzed_slices = frontier
         self.windows_analyzed += 1
+        t_frontier = self._t0 + frontier * sd
         summary = WindowSummary(
             index=self.windows_analyzed - 1,
-            t_start=win.t0,
-            t_end=win.t_end,
-            n_rows=n_rows,
+            t_start=t_lo,
+            t_end=t_frontier,
+            n_rows=len(trace),
             bottlenecks=tuple(bottlenecks),
-            lag_seconds=max(0.0, self._last_t - win.t_end),
+            lag_seconds=max(0.0, self._last_t - t_frontier),
         )
         if self.on_window is not None:
             self.on_window(summary)
@@ -549,11 +482,12 @@ class IncrementalProfile:
     def finalize(self, resource_trace: ResourceTrace | None = None) -> PerformanceProfile:
         """Close the stream and produce the exact batch profile.
 
-        Any decoded-but-unanalyzed span is first drained through the live
-        plane (one trailing partial window), then the accumulated events
-        replay through the batch pipeline.  The result is
-        bit-identical to a one-shot ``Grade10.characterize`` on the same
-        log — the convergence invariant the differential suite pins down.
+        The remaining span, up to the batch grid's end (the latest stamp
+        of any kind), is analyzed in windows first, so the live counters
+        cover the run; then the accumulated events replay through the
+        batch pipeline.  The result is bit-identical to a one-shot
+        ``Grade10.characterize`` on the same log — the convergence
+        invariant the differential suite pins down.
         """
         if self._finalized:
             raise RuntimeError("IncrementalProfile already finalized")
@@ -563,22 +497,14 @@ class IncrementalProfile:
             parse_execution_trace,
         )
 
-        tail = self._stream.close()
-        if tail:
-            for ev in tail:
-                self._events.append(ev)
-                self.events_ingested += 1
-                self._ingest(ev)
-        self.advance()
-        # Drain the trailing partial window so live counters cover the run.
-        if self._t0 is not None and self._last_t > self._t0:
-            sd = self.slice_duration
-            done = self._t0 + self._analyzed_slices * sd
-            if self._last_t > done:
-                n = int(np.ceil((self._last_t - done) / sd - 1e-9))
-                if n > 0:
-                    self._analyze_window(self._analyzed_slices, self._analyzed_slices + n)
-                    self._analyzed_slices += n
+        for ev in self._stream.close():
+            self._events.append(ev)
+            self.events_ingested += 1
+            self._ingest(ev)
+        if self._t0 is not None:
+            n_slices = TimeGrid.covering(self._t0, self._horizon, self.slice_duration).n_slices
+            while self._analyzed_slices < n_slices:
+                self._analyze_window(*self._next_window(n_slices))
         self._finalized = True
 
         log = EventLog()
@@ -589,17 +515,5 @@ class IncrementalProfile:
             include_gc_phases=self.include_gc_phases,
         )
         if resource_trace is None:
-            resource_trace = ResourceTrace()
-            for name, samples in self._meas_all.items():
-                for t_start, t_end, value in samples:
-                    resource_trace.add_measurement(name, t_start, t_end, value)
-            merge_blocking_into_resource_trace(log, resource_trace)
-        g10 = Grade10(
-            self.execution_model,
-            self.resource_model,
-            self.rules,
-            slice_duration=self.slice_duration,
-            saturation_threshold=self.saturation_threshold,
-            exact_cap_threshold=self.exact_cap_threshold,
-        )
-        return g10.characterize(trace, resource_trace)
+            resource_trace = merge_blocking_into_resource_trace(log, self._resource_trace)
+        return self.grade10.characterize(trace, resource_trace)

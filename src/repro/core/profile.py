@@ -121,6 +121,30 @@ class Grade10:
         self.outlier_threshold = outlier_threshold
         self.min_phase_duration = min_phase_duration
 
+    def detect(
+        self,
+        execution_trace: ExecutionTrace,
+        resource_trace: ResourceTrace,
+        grid: TimeGrid,
+    ) -> tuple[DemandEstimate, UpsampledTrace, AttributionResult, BottleneckReport]:
+        """Demand → upsample → attribution → bottlenecks on one grid.
+
+        The stages :meth:`characterize` runs before the issue and outlier
+        analyses; the live analyzer runs them on each sealed window.
+        """
+        with obs.span("demand", n_instances=len(execution_trace)):
+            demand = estimate_demand(execution_trace, self.resource_model, self.rules, grid)
+        upsampled = upsample(resource_trace, demand, grid)
+        attribution = attribute(upsampled, demand, execution_trace)
+        bottlenecks = find_bottlenecks(
+            execution_trace,
+            upsampled,
+            attribution,
+            saturation_threshold=self.saturation_threshold,
+            exact_cap_threshold=self.exact_cap_threshold,
+        )
+        return demand, upsampled, attribution, bottlenecks
+
     def characterize(
         self,
         execution_trace: ExecutionTrace,
@@ -133,16 +157,8 @@ class Grade10:
             raise ValueError("execution trace is empty — nothing to characterize")
         if grid is None:
             grid = execution_trace.grid(self.slice_duration)
-        with obs.span("demand", n_instances=len(execution_trace)):
-            demand = estimate_demand(execution_trace, self.resource_model, self.rules, grid)
-        upsampled = upsample(resource_trace, demand, grid)
-        attribution = attribute(upsampled, demand, execution_trace)
-        bottlenecks = find_bottlenecks(
-            execution_trace,
-            upsampled,
-            attribution,
-            saturation_threshold=self.saturation_threshold,
-            exact_cap_threshold=self.exact_cap_threshold,
+        demand, upsampled, attribution, bottlenecks = self.detect(
+            execution_trace, resource_trace, grid
         )
         with obs.span("issues"):
             issues = detect_issues(

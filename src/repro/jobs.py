@@ -44,8 +44,10 @@ exposed on ``/metrics``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import queue
+import tempfile
 import threading
 import time
 import uuid
@@ -76,6 +78,7 @@ __all__ = [
     "UnknownJobError",
     "assemble_job_trace",
     "parse_job_spec",
+    "stream_archive",
 ]
 
 _LOG = get_logger("repro.jobs")
@@ -177,8 +180,8 @@ class JobSpec:
     #: Live incremental analysis: the executor streams each cell's event
     #: log through :class:`repro.core.incremental.IncrementalProfile`,
     #: publishing ``window.analyzed`` / ``bottleneck.detected`` events on
-    #: the job's status as windows seal.  Live cells always execute (the
-    #: run cache is bypassed — a replayed profile has no stream to watch).
+    #: the job's status as windows seal.  Live cells get their archive
+    #: through the run cache like batch cells and stream its event log.
     live: bool = False
 
     @property
@@ -733,7 +736,7 @@ class JobQueue:
         Reuses the job's pre-registered status, so every progress event
         lands on the same gap-free event log clients started streaming at
         submission time.  A ``"live": true`` spec takes the incremental
-        path instead: each cell executes inline and its event log is
+        path instead: each cell's cached archive has its event log
         streamed through an :class:`~repro.core.incremental.IncrementalProfile`.
         """
         if job.spec.live:
@@ -751,98 +754,84 @@ class JobQueue:
     def execute_live_job(self, job: Job) -> None:
         """Live executor: per-cell streaming ingest with windowed analysis.
 
-        Each cell runs inline; its finished event log is then re-fed in
-        raw text chunks through the incremental profiler — the same
-        decode → seal → analyze path a mid-run follower takes — so
-        ``window.analyzed`` and ``bottleneck.detected`` events land on
-        the job's gap-free status stream *before* the cell completes,
-        and the final profile is the batch pipeline's, bit for bit.
+        Each cell gets its run archive through the same run-cache layers
+        as a batch cell (:func:`~repro.parallel.trace_payload`), then its
+        ``events.jsonl`` is fed in raw text chunks through the incremental
+        profiler — the input ``repro analyze --follow`` reads — so
+        ``window.analyzed`` and ``bottleneck.detected`` events land on the
+        job's gap-free status stream *before* the cell completes, and the
+        final profile is the batch pipeline's, bit for bit.  A job without
+        a cache (``"cache": false``, or a queue without ``cache_dir``)
+        archives into a temporary directory removed afterwards.
         """
-        import io
-
-        from .adapters import merge_blocking_into_resource_trace
-        from .core.incremental import IncrementalProfile
+        from .parallel import RunCache, trace_payload
         from .progress import current_sink, publish, set_thread_sink
-        from .systems.logging import write_jsonl
-        from .workloads.runner import analysis_inputs, run_workload
 
+        cache_dir = self.cache_dir if job.spec.cache else None
         previous_sink = set_thread_sink(job.status.record)
         try:
-            for cell in job.spec.cells():
-                label = cell.spec.label
-                publish("cell.started", label)
-                t0 = time.perf_counter()
-                try:
-                    with obs.span("cell", label=label):
-                        run = run_workload(cell.spec)
-                        system_run = run.system_run
-                        model, resources, rules = analysis_inputs(system_run, tuned=True)
-                        resource_trace = system_run.recorder.sample(
-                            0.4, t_end=system_run.makespan
+            with (
+                tempfile.TemporaryDirectory(prefix="repro-live-")
+                if cache_dir is None
+                else contextlib.nullcontext(cache_dir)
+            ) as root:
+                cache = RunCache(root)
+                for cell in job.spec.cells():
+                    label = cell.label
+
+                    def on_window(s: Any, label: str = label) -> None:
+                        publish(
+                            "window.analyzed",
+                            label,
+                            index=s.index,
+                            t_start=s.t_start,
+                            t_end=s.t_end,
+                            n_rows=s.n_rows,
+                            n_bottlenecks=len(s.bottlenecks),
+                            lag_seconds=s.lag_seconds,
                         )
-                        merge_blocking_into_resource_trace(system_run.log, resource_trace)
-                        # ~8 live windows per run regardless of preset.
-                        window_slices = max(1, int(system_run.makespan / 0.01 / 8))
 
-                        def on_window(s: Any, label: str = label) -> None:
-                            publish(
-                                "window.analyzed",
-                                label,
-                                index=s.index,
-                                t_start=s.t_start,
-                                t_end=s.t_end,
-                                n_rows=s.n_rows,
-                                n_bottlenecks=len(s.bottlenecks),
-                                lag_seconds=s.lag_seconds,
-                            )
-
-                        def on_bottleneck(b: Any, label: str = label) -> None:
-                            # publish() reserves the "kind" name for the
-                            # event kind, so the data dict (which carries
-                            # the *bottleneck* kind) goes through the sink
-                            # directly.
-                            sink = current_sink()
-                            if sink is None:
-                                return
-                            data = b.to_dict()
-                            data["seconds"] = b.duration
-                            try:
-                                sink(
-                                    ProgressEvent(
-                                        kind="bottleneck.detected", label=label, data=data
-                                    )
+                    def on_bottleneck(b: Any, label: str = label) -> None:
+                        # publish() reserves the "kind" name for the event
+                        # kind, so the data dict (which carries the
+                        # *bottleneck* kind) goes through the sink directly.
+                        sink = current_sink()
+                        if sink is None:
+                            return
+                        data = b.to_dict()
+                        data["seconds"] = b.duration
+                        try:
+                            sink(
+                                ProgressEvent(
+                                    kind="bottleneck.detected", label=label, data=data
                                 )
-                            except Exception:
-                                pass
+                            )
+                        except Exception:
+                            pass
 
-                        inc = IncrementalProfile(
-                            model,
-                            resources,
-                            rules,
-                            include_gc_phases=True,
-                            window_slices=window_slices,
-                            on_window=on_window,
-                            on_bottleneck=on_bottleneck,
+                    publish("cell.started", label)
+                    t0 = time.perf_counter()
+                    try:
+                        with obs.span("cell", label=label):
+                            payload = trace_payload(cell, cache)
+                            inc, profile = stream_archive(
+                                cell,
+                                payload.directory,
+                                on_window=on_window,
+                                on_bottleneck=on_bottleneck,
+                            )
+                    except Exception as exc:
+                        publish("cell.failed", label, error=repr(exc))
+                        _LOG.warning("live cell failed", label=label, error=repr(exc))
+                    else:
+                        publish(
+                            "cell.finished",
+                            label,
+                            duration=time.perf_counter() - t0,
+                            cached=payload.trace_hit is True,
+                            windows=inc.windows_analyzed,
+                            bottlenecks=len(profile.bottlenecks.bottlenecks),
                         )
-                        inc.feed_resource_trace(resource_trace)
-                        buf = io.StringIO()
-                        write_jsonl(system_run.log, buf)
-                        text = buf.getvalue()
-                        for i in range(0, len(text), 8192):
-                            inc.feed_text(text[i : i + 8192])
-                        profile = inc.finalize(resource_trace=resource_trace)
-                except Exception as exc:
-                    publish("cell.failed", label, error=repr(exc))
-                    _LOG.warning("live cell failed", label=label, error=repr(exc))
-                else:
-                    publish(
-                        "cell.finished",
-                        label,
-                        duration=time.perf_counter() - t0,
-                        cached=False,
-                        windows=inc.windows_analyzed,
-                        bottlenecks=len(profile.bottlenecks.bottlenecks),
-                    )
         finally:
             set_thread_sink(previous_sink)
 
@@ -923,6 +912,44 @@ class JobQueue:
                         self._record_duration_locked(job.finished_at - job.started_at)
                 if not job.status.finished:
                     job.status.finish()
+
+
+def stream_archive(
+    cell: Any,
+    directory: str | Path,
+    *,
+    on_window: Callable[[Any], None] | None = None,
+    on_bottleneck: Callable[[Any], None] | None = None,
+) -> tuple[Any, Any]:
+    """Stream one run archive through an incremental profile, as a live cell does.
+
+    ``cell`` (a :class:`~repro.parallel.CellSpec`) supplies the analysis
+    options a batch cell applies to the same archive, so the returned
+    ``(IncrementalProfile, PerformanceProfile)`` pair's profile equals the
+    batch cell's.  ``events.jsonl`` is read in 8 KiB pieces.
+    """
+    from .cluster.monitor import read_monitoring_csv
+    from .core.incremental import IncrementalProfile
+    from .core.model_io import load_models
+    from .workloads.archive import EVENTS_FILE, MODELS_FILE, MONITORING_FILE
+
+    directory = Path(directory)
+    model, resources, rules = load_models(directory / MODELS_FILE)
+    inc = IncrementalProfile(
+        model,
+        resources,
+        rules,
+        slice_duration=cell.slice_duration,
+        min_phase_duration=cell.min_phase_duration,
+        include_gc_phases=cell.tuned,
+        on_window=on_window,
+        on_bottleneck=on_bottleneck,
+    )
+    inc.feed_resource_trace(read_monitoring_csv(directory / MONITORING_FILE))
+    with open(directory / EVENTS_FILE) as fh:
+        for chunk in iter(lambda: fh.read(8192), ""):
+            inc.feed_text(chunk)
+    return inc, inc.finalize()
 
 
 # ---------------------------------------------------------------------- #

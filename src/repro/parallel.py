@@ -77,6 +77,7 @@ __all__ = [
     "CellResult",
     "EngineStats",
     "RunCache",
+    "TracePayload",
     "cache_key",
     "canonical_json",
     "cell_key_material",
@@ -87,6 +88,7 @@ __all__ = [
     "parallel_map",
     "run_grid",
     "trace_key_material",
+    "trace_payload",
 ]
 
 #: Bump to invalidate every cached payload (layout or semantics change).
@@ -627,118 +629,134 @@ def execute_cell(
     return result
 
 
-def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
+@dataclass
+class TracePayload:
+    """One cell's simulated run, as the trace cache layer serves it.
+
+    ``directory`` is the cell's run archive (``None`` without a cache);
+    ``run`` is the in-memory run when this call simulated it (``None`` on
+    a trace hit); ``metrics`` are the suite-level figures of ``cell.json``.
+    """
+
+    key: str
+    metrics: dict[str, Any]
+    directory: Path | None = None
+    run: Any = None
+    trace_hit: bool | None = None
+    graph_hit: bool | None = None
+
+
+def trace_payload(cell: CellSpec, cache: RunCache | None) -> TracePayload:
+    """Get or build one cell's run archive through the trace and graph layers.
+
+    A trace hit replays the cached archive; a miss simulates the run —
+    reusing a cached graph when there is one — and, with a cache, archives
+    it and publishes both layers.  Batch and live cells both start here.
+    """
     from .workloads.archive import save_run
     from .workloads.runner import processing_time, run_workload
 
+    key = cache_key(trace_key_material(cell))
+    if cache is not None and cache.has(key, "trace"):
+        obs.counter("cache.hit")
+        obs.counter("cache.trace.hit")
+        progress.publish("cell.cache_hit", cell.label, key=key)
+        return TracePayload(
+            key=key,
+            metrics=cache.load_meta(key, "trace"),
+            directory=cache.path_for(key, "trace"),
+            trace_hit=True,
+        )
+
+    graph = None
+    graph_hit: bool | None = None
+    graph_key = None
+    if cache is not None:
+        obs.counter("cache.miss")
+        obs.counter("cache.trace.miss")
+        # Trace miss: the generated graph may still be shared — every
+        # cell on the same (dataset, preset) replays one generation.
+        graph_key = cache_key(graph_key_material(cell.spec))
+        if cache.has(graph_key, "graph"):
+            obs.counter("cache.graph.hit")
+            graph_hit = True
+            progress.publish("cell.graph_hit", cell.label, key=graph_key)
+            with obs.span("generate.dataset.cached", dataset=cell.spec.dataset):
+                graph = _load_graph_payload(cache.path_for(graph_key, "graph"))
+        else:
+            obs.counter("cache.graph.miss")
+            graph_hit = False
+    progress.publish("stage", cell.label, stage="simulate")
+    run = run_workload(cell.spec, graph=graph)
+    t_proc = processing_time(run.system_run)
+    size = run.graph.n_vertices + run.graph.n_edges
+    metrics = {
+        "label": cell.label,
+        "makespan": run.makespan,
+        "processing_time": t_proc,
+        "evps": size / t_proc if t_proc > 0 else 0.0,
+        "n_iterations": run.algorithm.n_iterations,
+        "n_vertices": int(run.graph.n_vertices),
+        "n_edges": int(run.graph.n_edges),
+    }
+    payload = TracePayload(key=key, metrics=metrics, run=run, graph_hit=graph_hit)
+    if cache is None:
+        return payload
+    if graph_hit is False:
+        cache.store(
+            graph_key,
+            lambda tmp: _write_graph_payload(run.graph, cell.spec, tmp),
+            "graph",
+        )
+
+    def write_payload(tmp: Path) -> None:
+        save_run(
+            run.system_run,
+            tmp,
+            monitoring_interval=_MONITORING_INTERVAL,
+            ground_truth_interval=_GROUND_TRUTH_INTERVAL,
+        )
+        (tmp / _CELL_JSON).write_text(json.dumps(metrics, indent=2))
+
+    progress.publish("stage", cell.label, stage="archive")
+    with obs.span("archive", label=cell.label):
+        payload.directory = cache.store(key, write_payload, "trace")
+    payload.trace_hit = False
+    return payload
+
+
+def _execute_cell(cell: CellSpec, cache_dir: str | Path | None) -> CellResult:
     t0 = time.perf_counter()
     with obs.span("cell", label=cell.label, seed=cell.spec.seed):
-        cache = RunCache(cache_dir) if cache_dir is not None else None
-        key = cache_key(trace_key_material(cell))
-
-        if cache is not None and cache.has(key, "trace"):
-            obs.counter("cache.hit")
-            obs.counter("cache.trace.hit")
-            progress.publish("cell.cache_hit", cell.label, key=key)
-            meta = cache.load_meta(key, "trace")
-            profile = (
-                _characterize_payload(cell, cache.path_for(key, "trace"))
-                if cell.characterize
-                else None
-            )
-            return CellResult(
-                spec=cell.spec,
-                key=key,
-                makespan=meta["makespan"],
-                processing_time=meta["processing_time"],
-                evps=meta["evps"],
-                n_iterations=meta["n_iterations"],
-                n_vertices=meta["n_vertices"],
-                n_edges=meta["n_edges"],
-                profile=profile,
-                cached=True,
-                trace_hit=True,
-                duration=time.perf_counter() - t0,
-            )
-
-        graph = None
-        graph_hit: bool | None = None
-        graph_key = None
-        if cache is not None:
-            obs.counter("cache.miss")
-            obs.counter("cache.trace.miss")
-            # Trace miss: the generated graph may still be shared — every
-            # cell on the same (dataset, preset) replays one generation.
-            graph_key = cache_key(graph_key_material(cell.spec))
-            if cache.has(graph_key, "graph"):
-                obs.counter("cache.graph.hit")
-                graph_hit = True
-                progress.publish("cell.graph_hit", cell.label, key=graph_key)
-                with obs.span("generate.dataset.cached", dataset=cell.spec.dataset):
-                    graph = _load_graph_payload(cache.path_for(graph_key, "graph"))
-            else:
-                obs.counter("cache.graph.miss")
-                graph_hit = False
-        progress.publish("stage", cell.label, stage="simulate")
-        run = run_workload(cell.spec, graph=graph)
-        t_proc = processing_time(run.system_run)
-        size = run.graph.n_vertices + run.graph.n_edges
-        metrics = {
-            "label": cell.label,
-            "makespan": run.makespan,
-            "processing_time": t_proc,
-            "evps": size / t_proc if t_proc > 0 else 0.0,
-            "n_iterations": run.algorithm.n_iterations,
-            "n_vertices": int(run.graph.n_vertices),
-            "n_edges": int(run.graph.n_edges),
-        }
-
+        payload = trace_payload(cell, RunCache(cache_dir) if cache_dir is not None else None)
         profile = None
-        if cache is not None:
-            if graph_hit is False:
-                cache.store(
-                    graph_key,
-                    lambda tmp: _write_graph_payload(run.graph, cell.spec, tmp),
-                    "graph",
-                )
-
-            def write_payload(tmp: Path) -> None:
-                save_run(
-                    run.system_run,
-                    tmp,
-                    monitoring_interval=_MONITORING_INTERVAL,
-                    ground_truth_interval=_GROUND_TRUTH_INTERVAL,
-                )
-                (tmp / _CELL_JSON).write_text(json.dumps(metrics, indent=2))
-
-            progress.publish("stage", cell.label, stage="archive")
-            with obs.span("archive", label=cell.label):
-                payload = cache.store(key, write_payload, "trace")
-            # Characterize from the *payload*, not from memory: the warm path
-            # reads the same files, so cold and warm profiles are identical.
-            if cell.characterize:
+        if cell.characterize:
+            if not payload.trace_hit:
                 progress.publish("stage", cell.label, stage="characterize")
-                profile = _characterize_payload(cell, payload)
-        elif cell.characterize:
-            progress.publish("stage", cell.label, stage="characterize")
-            from .workloads.runner import characterize_run
+            if payload.directory is not None:
+                # Characterize from the *payload*, not from memory: the warm
+                # path reads the same files, so cold and warm profiles are
+                # identical.
+                profile = _characterize_payload(cell, payload.directory)
+            else:
+                from .workloads.runner import characterize_run
 
-            profile = characterize_run(
-                run,
-                tuned=cell.tuned,
-                slice_duration=cell.slice_duration,
-                min_phase_duration=cell.min_phase_duration,
-            )
+                profile = characterize_run(
+                    payload.run,
+                    tuned=cell.tuned,
+                    slice_duration=cell.slice_duration,
+                    min_phase_duration=cell.min_phase_duration,
+                )
 
         return CellResult(
             spec=cell.spec,
-            key=key,
+            key=payload.key,
             profile=profile,
-            cached=False,
-            trace_hit=False if cache is not None else None,
-            graph_hit=graph_hit,
+            cached=payload.trace_hit is True,
+            trace_hit=payload.trace_hit,
+            graph_hit=payload.graph_hit,
             duration=time.perf_counter() - t0,
-            **{k: v for k, v in metrics.items() if k != "label"},
+            **{k: v for k, v in payload.metrics.items() if k != "label"},
         )
 
 

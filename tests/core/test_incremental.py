@@ -9,8 +9,10 @@ the one-shot batch pipeline, on all three golden systems.
 Alongside the differential checks: a Hypothesis property over arbitrary
 chunkings, fault parity over every shipped ``FaultSpec`` (degraded logs
 degrade gracefully mid-stream — never a raw crash — and finalize agrees
-with the batch path on the same perturbed archive), and unit coverage of
-the live plane's monotone counters.
+with the batch path on the same perturbed archive), and coverage of the
+live plane: its windows run the batch stages, so after ``finalize()`` its
+per-(resource, kind) seconds equal the batch report's, whatever the
+chunking.
 """
 
 import io
@@ -19,8 +21,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adapters.parsing import merge_blocking_into_resource_trace
-from repro.core import IncrementalProfile, render_report
+from repro.adapters.parsing import merge_blocking_into_resource_trace, parse_execution_trace
+from repro.core import Grade10, IncrementalProfile, ResourceTrace, render_report
 from repro.faults import apply_faults, fault_at, fault_names
 from repro.systems.logging import write_jsonl
 from repro.workloads import WorkloadSpec, analysis_inputs, run_workload
@@ -204,8 +206,108 @@ class TestFaultParity:
             _assert_bit_identical(inc.finalize(), batch)
 
 
+def _batch_seconds(profile):
+    """The batch report's bottleneck seconds per (resource, kind)."""
+    out = {}
+    for b in profile.bottlenecks:
+        key = (b.resource, b.kind.value)
+        out[key] = out.get(key, 0.0) + b.duration
+    return out
+
+
+def _streamed_seconds(sr, models, text, rt, chunks, **kwargs):
+    """Live bottleneck seconds after streaming ``chunks`` and finalizing."""
+    inc = IncrementalProfile(*models, include_gc_phases=True, **kwargs)
+    inc.feed_resource_trace(rt)
+    if chunks == "events":
+        for ev in sr.log.events:
+            inc.feed([dict(ev)])
+    else:
+        for chunk in _chunks_of(text, chunks or len(text)):
+            inc.feed_text(chunk)
+    inc.finalize(resource_trace=rt)
+    return inc.bottleneck_seconds
+
+
+class TestBatchParity:
+    """Live windows run the batch stages: their totals are the batch report's."""
+
+    _runs = {}
+
+    def _run(self, system, dataset, preset, seed):
+        key = (system, dataset, preset, seed)
+        if key not in self._runs:
+            spec = WorkloadSpec(
+                system=system, dataset=dataset, algorithm="pr", preset=preset, seed=seed
+            )
+            sr = run_workload(spec).system_run
+            buf = io.StringIO()
+            write_jsonl(sr.log, buf)
+            rt = sr.recorder.sample(MONITORING_INTERVAL, t_end=sr.makespan)
+            merge_blocking_into_resource_trace(sr.log, rt)
+            self._runs[key] = (sr, analysis_inputs(sr, tuned=True), buf.getvalue(), rt)
+        return self._runs[key]
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    @pytest.mark.parametrize(
+        "dataset, preset, seed", [("datagen", "tiny", 7), ("graph500", "small", 0)]
+    )
+    def test_live_seconds_equal_batch_report(self, system, dataset, preset, seed):
+        sr, models, text, rt = self._run(system, dataset, preset, seed)
+        batch = characterize_run(sr, tuned=True, monitoring_interval=MONITORING_INTERVAL)
+        want = _batch_seconds(batch)
+        got = _streamed_seconds(sr, models, text, rt, 8192)
+        assert sorted(got) == sorted(want)
+        for key, seconds in want.items():
+            assert got[key] == pytest.approx(seconds, abs=1e-9), key
+
+    def test_live_seconds_do_not_depend_on_chunking(self):
+        # The watermark only moves on present-time stamps, so no window
+        # seals before the events inside it have arrived.
+        sr, models, text, rt = self._run("giraph", "graph500", "small", 0)
+        whole = _streamed_seconds(sr, models, text, rt, None, window_slices=1)
+        assert whole
+        for chunks in (8192, 256, "events"):
+            assert _streamed_seconds(sr, models, text, rt, chunks, window_slices=1) == whole
+
+    def test_live_seconds_equal_batch_with_unaligned_monitoring(self):
+        # Each machine's exporter samples at its own phase, so no slice
+        # edge is a sample boundary on every machine at once; cuts are
+        # per resource, and the totals still match.
+        sr, models, text, rt = self._run("giraph", "graph500", "small", 0)
+        machines = sorted({name.rpartition("@")[2] for name in rt.measured_resources()})
+        unaligned = ResourceTrace()
+        for name in rt.measured_resources():
+            dt = 0.13 * machines.index(name.rpartition("@")[2])
+            for m in rt.measurements(name):
+                unaligned.add_measurement(name, m.t_start + dt, m.t_end + dt, m.value)
+        trace = parse_execution_trace(sr.log, include_blocking=True, include_gc_phases=True)
+        want = _batch_seconds(Grade10(*models).characterize(trace, unaligned))
+        got = _streamed_seconds(sr, models, text, unaligned, 8192, window_slices=1)
+        assert sorted(got) == sorted(want)
+        for key, seconds in want.items():
+            assert got[key] == pytest.approx(seconds, abs=1e-9), key
+
+    def test_clock_skew_still_seals_windows_mid_stream(self, tmp_path):
+        from repro.cluster.monitor import read_monitoring_csv
+        from repro.core.model_io import load_models
+
+        sr, _, _, _ = self._run("giraph", "graph500", "small", 0)
+        save_run(sr, tmp_path / "source")
+        dest = tmp_path / "skewed"
+        apply_faults(tmp_path / "source", dest, [fault_at("clock_skew", 0.3)], seed=0)
+        inc = IncrementalProfile(
+            *load_models(dest / "models.json"), include_gc_phases=True, window_slices=1
+        )
+        inc.feed_resource_trace(read_monitoring_csv(dest / "monitoring.csv"))
+        for chunk in _chunks_of((dest / "events.jsonl").read_text(), 8192):
+            inc.feed_text(chunk)
+        assert inc.windows_analyzed >= 2
+        _assert_bit_identical(inc.finalize(), characterize_archive(dest))
+
+
 class TestLivePlane:
-    """The advisory windowed analyzer: monotone counters, sane summaries."""
+    """The windowed analyzer: monotone counters, sane summaries."""
 
     def _streamed(self, window_slices=2):
         sr, (model, resources, rules), text, _ = _prepared("giraph")
@@ -215,7 +317,9 @@ class TestLivePlane:
             include_gc_phases=True, window_slices=window_slices,
             on_window=windows.append, on_bottleneck=observed.append,
         )
-        rt = sr.recorder.sample(MONITORING_INTERVAL, t_end=sr.makespan)
+        # Sampled once per slice: windows end on sample boundaries, and
+        # the tiny run spans a single 0.4 s monitoring interval.
+        rt = sr.recorder.sample(inc.slice_duration, t_end=sr.makespan)
         merge_blocking_into_resource_trace(sr.log, rt)
         inc.feed_resource_trace(rt)
         for chunk in _chunks_of(text, 512):
@@ -265,6 +369,25 @@ class TestLivePlane:
             inc.feed_text("{}\n")
         with pytest.raises(RuntimeError):
             inc.finalize()
+
+    def test_no_window_splits_a_measurement(self):
+        sr, (model, resources, rules), text, _ = _prepared("giraph")
+        windows = []
+        inc = IncrementalProfile(
+            model, resources, rules, include_gc_phases=True,
+            window_slices=1, on_window=windows.append,
+        )
+        rt = sr.recorder.sample(0.025, t_end=sr.makespan)  # 2.5 slices a sample
+        inc.feed_resource_trace(rt)
+        for chunk in _chunks_of(text, 512):
+            inc.feed_text(chunk)
+        inc.finalize()
+        assert len(windows) >= 2
+        samples = [m for name in rt.measured_resources() for m in rt.measurements(name)]
+        for w in windows[:-1]:
+            assert not any(
+                m.t_start < w.t_end - 1e-12 and m.t_end > w.t_end + 1e-12 for m in samples
+            ), w
 
     def test_window_slices_validation(self):
         _, (model, resources, rules), _, _ = _prepared("giraph")

@@ -1,6 +1,8 @@
 """Tests for attribution rules and the rule matrix."""
 
+import dataclasses
 import fnmatch
+import math
 
 import pytest
 
@@ -186,15 +188,15 @@ class TestCachedResolution:
         assert rules.rule_for(make_instance("/Q"), "cpu@node0") == VariableRule(1.0)
 
     def test_live_rows_resolve_like_instances(self):
-        from repro.core.incremental import _LiveRow
-
+        # The live plane keeps an open phase as a PhaseInstance whose end
+        # is not known yet; it resolves like the closed instance.
         rules = (
             RuleMatrix(implicit_rule=NoneRule())
             .set_exact("/Execute/Superstep/Compute", "cpu@{machine}", 0.5)
             .set_variable("/Execute/*", "net@*", 2.0)
         )
-        row = _LiveRow("r0", "/Execute/Superstep/Compute", 0.0, None, None, "node0", "w0", "t0")
         inst = make_instance()
+        row = dataclasses.replace(inst, t_end=math.inf)
         for resource in ("cpu@node0", "cpu@node1", "net@node0", "disk@node0"):
             assert rules.resolve(row, resource) == rules.rule_for(inst, resource)
             assert rules.resolve(inst, resource) == rules.rule_for(inst, resource)

@@ -416,6 +416,56 @@ class TestJobQueue:
         assert snapshot["bottleneck_seconds"]
         assert done.status.snapshot()["windows_analyzed"] >= 1
 
+    def test_live_job_streams_the_cached_archive(self, tmp_path, monkeypatch):
+        """After a batch job warms the cache, a live job of the same spec
+        replays its archive: ``cached: true`` and no new simulation."""
+        import repro.workloads.runner as runner
+
+        spec = {"preset": "tiny", "characterize": True}
+        with JobQueue(capacity=2, workers=1, cache_dir=tmp_path) as q:
+            batch = _wait_terminal(q, q.submit(spec).id, timeout=60.0)
+            assert batch.state == "done"
+
+            def no_simulation(*args, **kwargs):
+                raise AssertionError("run_workload called for a cached live cell")
+
+            monkeypatch.setattr(runner, "run_workload", no_simulation)
+            live = _wait_terminal(q, q.submit({**spec, "live": True}).id, timeout=60.0)
+        assert live.state == "done"
+        finished = [e for e in live.status.events_since(0) if e["kind"] == "cell.finished"]
+        assert [e["data"]["cached"] for e in finished] == [True]
+        assert finished[0]["data"]["windows"] >= 1
+
+    def test_uncached_live_job_removes_its_archive(self, tmp_path, monkeypatch):
+        """``"cache": false`` archives into a temporary directory that is
+        gone once the job ends."""
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with JobQueue(capacity=2, workers=1) as q:
+            job = q.submit({"preset": "tiny", "live": True, "cache": False})
+            done = _wait_terminal(q, job.id, timeout=60.0)
+        assert done.state == "done"
+        finished = [e for e in done.status.events_since(0) if e["kind"] == "cell.finished"]
+        assert [e["data"]["cached"] for e in finished] == [False]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_live_cell_profile_equals_batch_cell(self, tmp_path):
+        """Same spec, same cache: the live cell's final profile has the
+        batch cell's analysis parameters and renders the same report."""
+        from repro.core import render_report
+        from repro.jobs import stream_archive
+        from repro.parallel import RunCache, execute_cell, trace_payload
+
+        (cell,) = JobSpec(characterize=True).cells()
+        batch = execute_cell(cell, tmp_path).profile
+        payload = trace_payload(cell, RunCache(tmp_path))
+        assert payload.trace_hit is True
+        _, live = stream_archive(cell, payload.directory)
+        assert live.analysis_params == batch.analysis_params
+        assert live.analysis_params["min_phase_duration"] == cell.min_phase_duration
+        assert render_report(live, extended=True) == render_report(batch, extended=True)
+
 
 # ---------------------------------------------------------------------- #
 # Concurrency: racing submitters and cancellers
