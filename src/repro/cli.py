@@ -577,22 +577,9 @@ def _cmd_analyze_follow(args: argparse.Namespace) -> int:
     import time as _time
     from pathlib import Path
 
-    from .cluster.monitor import read_monitoring_csv
-    from .core.incremental import IncrementalProfile
-    from .core.model_io import load_models
-    from .workloads.archive import ArchiveError, ArchiveNotFoundError
+    from .workloads.archive import EVENTS_FILE, ArchiveError, finish_live, open_live
 
     directory = Path(args.directory)
-    models_path = directory / "models.json"
-    if not models_path.is_file():
-        _LOG.error(f"error: run archive not found (no {models_path})")
-        return 2
-    try:
-        model, resources, rules = load_models(models_path)
-    except (ValueError, KeyError) as exc:
-        _LOG.error(f"error: cannot load models.json: {exc}")
-        return 2
-
     rows: list[list[str]] = []
 
     def on_window(summary) -> None:
@@ -611,23 +598,17 @@ def _cmd_analyze_follow(args: argparse.Namespace) -> int:
             f"lag={summary.lag_seconds:.2f}s"
         )
 
-    inc = IncrementalProfile(
-        model,
-        resources,
-        rules,
-        slice_duration=args.slice,
-        include_gc_phases=not args.untuned,
-        window_slices=max(1, int(args.window / args.slice)),
-        on_window=on_window,
-    )
-    monitoring = directory / "monitoring.csv"
-    if monitoring.is_file():
-        inc.feed_resource_trace(read_monitoring_csv(monitoring))
-
-    events_path = directory / "events.jsonl"
+    events_path = directory / EVENTS_FILE
     deadline = _time.monotonic() + args.follow_timeout
     fh = None
     try:
+        inc = open_live(
+            directory,
+            slice_duration=args.slice,
+            include_gc_phases=not args.untuned,
+            window_slices=max(1, int(args.window / args.slice)),
+            on_window=on_window,
+        )
         while True:
             if fh is None:
                 if events_path.is_file():
@@ -646,15 +627,13 @@ def _cmd_analyze_follow(args: argparse.Namespace) -> int:
                 break
             else:
                 _time.sleep(0.05)
+        profile = finish_live(inc, directory)
+    except ArchiveError as exc:
+        _LOG.error(f"error: {exc}")
+        return 2
     finally:
         if fh is not None:
             fh.close()
-
-    try:
-        profile = inc.finalize()
-    except (ArchiveError, ArchiveNotFoundError, ValueError) as exc:
-        _LOG.error(f"error: incremental analysis failed: {exc}")
-        return 2
     print(format_table(
         ["window", "span (s)", "phases", "bottlenecks", "top bottleneck", "lag (s)"],
         rows,

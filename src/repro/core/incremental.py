@@ -5,19 +5,21 @@ complete.  :class:`IncrementalProfile` is the streaming counterpart: it
 consumes log-event chunks as they arrive — raw text via
 :meth:`IncrementalProfile.feed_text` (backed by
 :class:`~repro.systems.logging.JsonlStream`) or decoded events via
-:meth:`IncrementalProfile.feed` — and maintains two planes of state:
+:meth:`IncrementalProfile.feed` — and keeps two planes of state:
 
-* a **builder** that incrementally mirrors the batch parser's state
-  (phase instances, resolved blocking intervals, GC phases) with O(1)
-  updates per event, and
+* the **trace builder** of the batch parser,
+  :class:`~repro.adapters.parsing.TraceBuilder`, which folds each event
+  into phase instances, resolved blocking intervals and GC phases as it
+  arrives (each decoded event is then dropped), and
 * a **windowed live analyzer** that, as the *sealed watermark* advances,
   runs the batch stages — :func:`~repro.core.demand.estimate_demand`,
   :func:`~repro.core.upsample.upsample`,
   :func:`~repro.core.attribution.attribute` and
   :func:`~repro.core.bottlenecks.find_bottlenecks` — on a window-local
-  trace: the phase instances overlapping the window, clipped to it, and
-  the monitoring samples that start in it.  Instances that ended before
-  the window are pruned, so a window never re-walks the full history.
+  trace: the builder's instances overlapping the window, clipped to it,
+  and the monitoring samples that start in it.  Instances that ended
+  before the window are pruned, so a window never re-walks the full
+  history.
 
 Both planes are exact:
 
@@ -34,38 +36,34 @@ Both planes are exact:
   seal windows.  The window's frontier advances to the first slice an
   unanalyzed sample covers.  Summed over a run, the live saturation and
   exact-cap seconds equal the batch report's.  Blocking seconds
-  accumulate as each ``block_end`` lands, and a resolved block's raw
-  duration is final.
+  accumulate as each block is attached to its instance, and a resolved
+  block's raw duration is final.
 * **The final profile is bit-identical to batch.**
-  :meth:`IncrementalProfile.finalize` analyzes the remaining windows, then
-  replays the accumulated events through
-  :class:`~repro.core.profile.Grade10`, so feeding a log in chunks of
-  *any* size — including 1-event chunks and mid-record byte splits —
-  yields the one-shot batch output.  The differential suite in
-  ``tests/core/test_incremental.py`` enforces this on all three golden
-  systems.
+  :meth:`IncrementalProfile.finalize` analyzes the remaining windows,
+  closes the builder — the batch parser's repair passes — and runs
+  :class:`~repro.core.profile.Grade10` on that trace, so feeding a log in
+  chunks of *any* size — including 1-event chunks and mid-record byte
+  splits — yields the one-shot batch output, and each event is decoded
+  once.  The differential suite in ``tests/core/test_incremental.py``
+  enforces this on all three golden systems.
 
 A window is analyzed once, when every event that can affect it has
 necessarily arrived, and never revisited.  The emitters write events in
 the order of their *present-time* stamps — the ``t`` of ``phase_start``,
 ``phase_end``, ``block_start`` and ``gc`` — so the watermark is the newest
 such stamp, floored at the earliest unresolved ``block_start``.  A
-``block_end`` and the ``t_end`` of a ``gc`` event are written ahead of
-time (both halves of a block are logged when it begins) and do not move
-the watermark.  Known limitation: giraph logs a message-queue stall when
-the stall ends, so that ``block_start`` can arrive behind the watermark
-(one such event on giraph small graph500/pr seed 0); a window sealed in
-between misses the block's effect on activity.  Likewise, when machine
-clocks disagree, the fast machines' stamps move the watermark ahead of
-the slow machines' events, so the live seconds drift from the batch
-report (the final profile does not).
+``block_end`` and the ``t_end`` of a ``gc`` event may be written ahead of
+time and do not move the watermark, nor does a ``phase_end`` that arrives
+before its phase's start.  When machine clocks disagree, the
+fast machines' stamps move the watermark ahead of the slow machines'
+events, so the live seconds drift from the batch report (the final
+profile does not).
 """
 
 from __future__ import annotations
 
-import math
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable
 
 from .bottlenecks import EXACT_CAP_THRESHOLD, SATURATION_THRESHOLD, BottleneckKind
@@ -76,7 +74,7 @@ from .resources import ResourceModel
 from .rules import RuleMatrix
 from .timeline import TimeGrid
 from .traces import ExecutionTrace, PhaseInstance, ResourceMeasurement, ResourceTrace
-from ..systems.logging import EventLog, JsonlStream
+from ..systems.logging import JsonlStream
 
 __all__ = [
     "DEFAULT_WINDOW_SLICES",
@@ -90,10 +88,6 @@ __all__ = [
 #: samples, 0.8 s): wide enough to amortize the per-window stage calls,
 #: narrow enough that the follow table refreshes several times per run.
 DEFAULT_WINDOW_SLICES = 64
-
-#: Log events whose ``t`` is the time they are written at (see the module
-#: docstring); only these advance the watermark.
-_PRESENT_TIME_EVENTS = frozenset({"phase_start", "phase_end", "block_start", "gc"})
 
 #: Length of the reference grid that numbers slices from the live origin:
 #: longer than any run (about 350 years of 10 ms slices).
@@ -119,14 +113,7 @@ class LiveBottleneck:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form, as carried by ``bottleneck.detected`` events."""
-        return {
-            "kind": self.kind,
-            "instance_id": self.instance_id,
-            "phase_path": self.phase_path,
-            "resource": self.resource,
-            "duration": self.duration,
-            "window": self.window,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -142,23 +129,16 @@ class WindowSummary:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form, as carried by ``window.analyzed`` events."""
-        return {
-            "index": self.index,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "n_rows": self.n_rows,
-            "bottlenecks": [b.to_dict() for b in self.bottlenecks],
-            "lag_seconds": self.lag_seconds,
-        }
+        return {**asdict(self), "bottlenecks": [b.to_dict() for b in self.bottlenecks]}
 
 
 class IncrementalProfile:
     """Streaming profile: feed log chunks, watch bottlenecks form, finalize.
 
     Parameters mirror :class:`~repro.core.profile.Grade10` plus the parse
-    knobs of :func:`~repro.adapters.parsing.parse_execution_trace` (the
-    incremental ingest replaces the batch parse step) and the live-plane
-    controls:
+    knobs of :func:`~repro.adapters.parsing.parse_execution_trace` (events
+    fold into the same :class:`~repro.adapters.parsing.TraceBuilder`) and
+    the live-plane controls:
 
     ``window_slices``
         Minimum width of each live analysis window, in timeslices; each
@@ -199,21 +179,17 @@ class IncrementalProfile:
             min_phase_duration=min_phase_duration,
         )
         self.slice_duration = slice_duration
-        self.include_blocking = include_blocking
-        self.include_gc_phases = include_gc_phases
         self.window_slices = window_slices
         self.on_window = on_window
         self.on_bottleneck = on_bottleneck
 
-        # Raw ingest + stream decoding.
-        self._events: list[dict[str, Any]] = []
         self._stream = JsonlStream()
+        # Imported here: repro.adapters imports repro.core at package init.
+        from ..adapters.parsing import TraceBuilder
 
-        # Builder plane (mirrors the batch parser's dicts).  An open
-        # phase's instance carries ``t_end = inf`` until its end arrives.
-        self._instances: dict[str, PhaseInstance] = {}
-        self._pending_blocks: dict[tuple[str, str], float] = {}
-        self._n_gc = 0
+        self._builder = TraceBuilder(
+            include_blocking=include_blocking, include_gc_phases=include_gc_phases
+        )
 
         # Live analysis plane.
         self._live: list[PhaseInstance] = []  # instances not yet behind the frontier
@@ -221,8 +197,6 @@ class IncrementalProfile:
         self._samples: dict[str, list[ResourceMeasurement]] = {}
         self._resource_trace = ResourceTrace()  # every sample, for finalize
         self._t0: float | None = None  # live grid origin
-        self._last_t = float("-inf")  # newest present-time stamp
-        self._horizon = float("-inf")  # newest stamp of any kind
         self._analyzed_slices = 0
         self._finalized = False
 
@@ -244,8 +218,6 @@ class IncrementalProfile:
         if self._finalized:
             raise RuntimeError("IncrementalProfile already finalized")
         for ev in events:
-            self._events.append(ev)
-            self.events_ingested += 1
             self._ingest(ev)
         return self.advance()
 
@@ -265,73 +237,23 @@ class IncrementalProfile:
             for m in resource_trace.measurements(name):
                 self.feed_measurement(name, m.t_start, m.t_end, m.value)
 
-    def _begin(self, inst: PhaseInstance) -> None:
-        self._instances[inst.instance_id] = inst
-        self._live.append(inst)
-        # The origin is fixed once a window is sealed: moving it would
-        # renumber slices already analyzed.
-        if self._t0 is None or (inst.t_start < self._t0 and not self.windows_analyzed):
-            self._t0 = inst.t_start
-
     def _ingest(self, ev: dict[str, Any]) -> None:
-        kind = ev.get("event")
-        t = float(ev.get("t", 0.0))
-        self._horizon = max(self._horizon, t, float(ev.get("t_end", 0.0)))
-        if kind in _PRESENT_TIME_EVENTS:
-            self._last_t = max(self._last_t, t)
-        if kind == "phase_start":
-            if ev["id"] in self._instances:
-                return  # duplicate start: first wins, like the batch parser
-            self._begin(
-                PhaseInstance(
-                    instance_id=ev["id"],
-                    phase_path=ev["path"],
-                    t_start=t,
-                    t_end=math.inf,
-                    parent_id=ev.get("parent"),
-                    machine=ev.get("machine"),
-                    worker=ev.get("worker"),
-                    thread=ev.get("thread"),
-                )
+        self.events_ingested += 1
+        inst = self._builder.feed(ev)
+        if inst is None:
+            return
+        started = ev["event"] != "block_end"
+        # A start brings the blocks resolved before it; a block_end adds one.
+        for b in inst.blocking if started else inst.blocking[-1:]:
+            self._note(
+                BottleneckKind.BLOCKING, inst.instance_id, inst.phase_path, b.resource, b.duration
             )
-        elif kind == "phase_end":
-            inst = self._instances.get(ev["id"])
-            if inst is not None and inst.t_end == math.inf:
-                inst.t_end = t
-        elif kind == "block_start":
-            self._pending_blocks[(ev["id"], ev["resource"])] = t
-        elif kind == "block_end":
-            t0 = self._pending_blocks.pop((ev["id"], ev["resource"]), None)
-            if t0 is None or t < t0:
-                return
-            inst = self._instances.get(ev["id"])
-            if inst is not None and self.include_blocking:
-                inst.add_blocking(ev["resource"], t0, t)
-                self._note_bottleneck(
-                    LiveBottleneck(
-                        kind=BottleneckKind.BLOCKING.value,
-                        instance_id=inst.instance_id,
-                        phase_path=inst.phase_path,
-                        resource=ev["resource"],
-                        duration=t - t0,
-                        window=self.windows_analyzed,
-                    )
-                )
-        elif kind == "gc":
-            # Numbered over every gc event, like the batch parser's ids.
-            k, self._n_gc = self._n_gc, self._n_gc + 1
-            if self.include_gc_phases:
-                machine = ev.get("machine")
-                self._begin(
-                    PhaseInstance(
-                        instance_id=f"/GC#{machine}#{k}",
-                        phase_path="/GC",
-                        t_start=t,
-                        t_end=float(ev["t_end"]),
-                        machine=machine,
-                        worker=machine,
-                    )
-                )
+        if started:
+            self._live.append(inst)
+            # The origin is fixed once a window is sealed: moving it would
+            # renumber slices already analyzed.
+            if self._t0 is None or (inst.t_start < self._t0 and not self.windows_analyzed):
+                self._t0 = inst.t_start
 
     # ------------------------------------------------------------------ #
     # Live windowed analysis
@@ -339,10 +261,10 @@ class IncrementalProfile:
     @property
     def lag_seconds(self) -> float:
         """How far the analyzed frontier trails the newest event."""
-        if self._t0 is None or self._last_t == float("-inf"):
+        if self._t0 is None:
             return 0.0
         frontier = self._t0 + self._analyzed_slices * self.slice_duration
-        return max(0.0, self._last_t - frontier)
+        return max(0.0, self._builder.now - frontier)
 
     def _safe_time(self) -> float:
         """Largest time every relevant event has necessarily arrived for.
@@ -352,10 +274,7 @@ class IncrementalProfile:
         start onward, so the watermark also floors at the earliest pending
         ``block_start``.
         """
-        safe = self._last_t
-        if self._pending_blocks:
-            safe = min(safe, min(self._pending_blocks.values()))
-        return safe
+        return min([self._builder.now, *self._builder.pending_blocks.values()])
 
     def _reference_grid(self) -> TimeGrid:
         """Slices numbered from the live origin, as the batch grid numbers them."""
@@ -406,12 +325,18 @@ class IncrementalProfile:
             out.append(self._analyze_window(end, frontier, taken))
         return out
 
-    def _note_bottleneck(self, b: LiveBottleneck) -> None:
+    def _note(
+        self, kind: BottleneckKind, instance_id: str, phase_path: str, resource: str, duration: float
+    ) -> LiveBottleneck:
+        b = LiveBottleneck(
+            kind.value, instance_id, phase_path, resource, duration, self.windows_analyzed
+        )
         key = (b.resource, b.kind)
         self.bottleneck_seconds[key] = self.bottleneck_seconds.get(key, 0.0) + b.duration
         self.last_bottleneck = b
         if self.on_bottleneck is not None:
             self.on_bottleneck(b)
+        return b
 
     def _analyze_window(self, end: int, frontier: int, taken: dict[str, int]) -> WindowSummary:
         """Run the batch stages on slices ``[analyzed, end)``, up to ``frontier``.
@@ -446,20 +371,11 @@ class IncrementalProfile:
             del self._samples[resource][:n]
 
         *_, report = self.grade10.detect(trace, samples, grid)
-        bottlenecks: list[LiveBottleneck] = []
-        for b in report:
-            if b.kind is BottleneckKind.BLOCKING:
-                continue  # counted when each block_end lands
-            live = LiveBottleneck(
-                kind=b.kind.value,
-                instance_id=b.instance_id,
-                phase_path=b.phase_path,
-                resource=b.resource,
-                duration=b.duration,
-                window=self.windows_analyzed,
-            )
-            bottlenecks.append(live)
-            self._note_bottleneck(live)
+        bottlenecks = [
+            self._note(b.kind, b.instance_id, b.phase_path, b.resource, b.duration)
+            for b in report
+            if b.kind is not BottleneckKind.BLOCKING  # counted as blocks attach
+        ]
 
         self._analyzed_slices = frontier
         self.windows_analyzed += 1
@@ -470,7 +386,7 @@ class IncrementalProfile:
             t_end=t_frontier,
             n_rows=len(trace),
             bottlenecks=tuple(bottlenecks),
-            lag_seconds=max(0.0, self._last_t - t_frontier),
+            lag_seconds=max(0.0, self._builder.now - t_frontier),
         )
         if self.on_window is not None:
             self.on_window(summary)
@@ -479,41 +395,42 @@ class IncrementalProfile:
     # ------------------------------------------------------------------ #
     # Finalize
     # ------------------------------------------------------------------ #
-    def finalize(self, resource_trace: ResourceTrace | None = None) -> PerformanceProfile:
-        """Close the stream and produce the exact batch profile.
+    def close(self) -> tuple[ExecutionTrace, ResourceTrace]:
+        """End the stream and return the run's final traces.
 
         The remaining span, up to the batch grid's end (the latest stamp
         of any kind), is analyzed in windows first, so the live counters
-        cover the run; then the accumulated events replay through the
-        batch pipeline.  The result is bit-identical to a one-shot
-        ``Grade10.characterize`` on the same log — the convergence
-        invariant the differential suite pins down.
+        cover the run; then the builder closes.  Returns its execution
+        trace and the fed monitoring samples with the log's blocking and
+        GC intervals.  Raises what
+        :func:`~repro.adapters.parsing.parse_execution_trace` raises on
+        the same log.
         """
         if self._finalized:
             raise RuntimeError("IncrementalProfile already finalized")
-        # Imported here: repro.adapters imports repro.core at package init.
-        from ..adapters.parsing import (
-            merge_blocking_into_resource_trace,
-            parse_execution_trace,
-        )
-
         for ev in self._stream.close():
-            self._events.append(ev)
-            self.events_ingested += 1
             self._ingest(ev)
         if self._t0 is not None:
-            n_slices = TimeGrid.covering(self._t0, self._horizon, self.slice_duration).n_slices
+            horizon, sd = self._builder.horizon, self.slice_duration
+            n_slices = TimeGrid.covering(self._t0, horizon, sd).n_slices
             while self._analyzed_slices < n_slices:
                 self._analyze_window(*self._next_window(n_slices))
         self._finalized = True
+        trace = self._builder.close()
+        for resource, t0, t1 in self._builder.blocking:
+            self._resource_trace.add_blocking_event(resource, t0, t1)
+        return trace, self._resource_trace
 
-        log = EventLog()
-        log.events = list(self._events)
-        trace = parse_execution_trace(
-            log,
-            include_blocking=self.include_blocking,
-            include_gc_phases=self.include_gc_phases,
+    def finalize(self, resource_trace: ResourceTrace | None = None) -> PerformanceProfile:
+        """Close the stream and produce the exact batch profile.
+
+        Runs :class:`~repro.core.profile.Grade10` on the traces of
+        :meth:`close` (or on ``resource_trace``, when given).  The result
+        is bit-identical to a one-shot ``Grade10.characterize`` on the
+        same log — the convergence invariant the differential suite pins
+        down.
+        """
+        trace, merged = self.close()
+        return self.grade10.characterize(
+            trace, merged if resource_trace is None else resource_trace
         )
-        if resource_trace is None:
-            resource_trace = merge_blocking_into_resource_trace(log, self._resource_trace)
-        return self.grade10.characterize(trace, resource_trace)

@@ -926,30 +926,24 @@ def stream_archive(
     ``cell`` (a :class:`~repro.parallel.CellSpec`) supplies the analysis
     options a batch cell applies to the same archive, so the returned
     ``(IncrementalProfile, PerformanceProfile)`` pair's profile equals the
-    batch cell's.  ``events.jsonl`` is read in 8 KiB pieces.
+    batch cell's, and an archive the batch cell refuses raises the same
+    :class:`~repro.workloads.archive.ArchiveCorruptError`.
+    ``events.jsonl`` is read in 8 KiB pieces.
     """
-    from .cluster.monitor import read_monitoring_csv
-    from .core.incremental import IncrementalProfile
-    from .core.model_io import load_models
-    from .workloads.archive import EVENTS_FILE, MODELS_FILE, MONITORING_FILE
+    from .workloads.archive import EVENTS_FILE, finish_live, open_live
 
-    directory = Path(directory)
-    model, resources, rules = load_models(directory / MODELS_FILE)
-    inc = IncrementalProfile(
-        model,
-        resources,
-        rules,
+    inc = open_live(
+        directory,
         slice_duration=cell.slice_duration,
         min_phase_duration=cell.min_phase_duration,
         include_gc_phases=cell.tuned,
         on_window=on_window,
         on_bottleneck=on_bottleneck,
     )
-    inc.feed_resource_trace(read_monitoring_csv(directory / MONITORING_FILE))
-    with open(directory / EVENTS_FILE) as fh:
+    with open(Path(directory) / EVENTS_FILE) as fh:
         for chunk in iter(lambda: fh.read(8192), ""):
             inc.feed_text(chunk)
-    return inc, inc.finalize()
+    return inc, finish_live(inc, directory)
 
 
 # ---------------------------------------------------------------------- #

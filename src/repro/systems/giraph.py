@@ -278,11 +278,13 @@ def run_giraph(
                     if until > sim.now:
                         log.block(handle, gc.resource_name, sim.now, until)
                         yield sim.timeout(until - sim.now)
-                if remote_bytes > 0:
-                    t0 = sim.now
-                    stall = yield from queues[m].put(remote_bytes)
-                    if stall > 0:
-                        log.block(handle, queues[m].resource_name, t0, sim.now)
+                # A stall's start is logged as it begins, so it lands in
+                # stamp order with the other present-time events.
+                rest = queues[m].offer(remote_bytes)
+                if rest > 0:
+                    log.block_start(handle, queues[m].resource_name, sim.now)
+                    yield from queues[m].put(rest)
+                    log.block_end(handle, queues[m].resource_name, sim.now)
         log.end_phase(handle, sim.now)
 
     def worker_superstep(m: int, s: int, ss_handle: PhaseHandle):

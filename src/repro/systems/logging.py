@@ -91,24 +91,22 @@ class EventLog:
         """Close an open phase instance at time ``t``."""
         self.events.append({"event": "phase_end", "id": handle.instance_id, "t": t})
 
+    def block_start(self, handle: PhaseHandle, resource: str, t: float) -> None:
+        """Record that an open phase blocks on ``resource`` from time ``t``."""
+        self.events.append(
+            {"event": "block_start", "id": handle.instance_id, "resource": resource, "t": t}
+        )
+
+    def block_end(self, handle: PhaseHandle, resource: str, t: float) -> None:
+        """Record that the phase's block on ``resource`` ends at time ``t``."""
+        self.events.append(
+            {"event": "block_end", "id": handle.instance_id, "resource": resource, "t": t}
+        )
+
     def block(self, handle: PhaseHandle, resource: str, t_start: float, t_end: float) -> None:
-        """Record a blocking interval of an open phase on a resource."""
-        self.events.append(
-            {
-                "event": "block_start",
-                "id": handle.instance_id,
-                "resource": resource,
-                "t": t_start,
-            }
-        )
-        self.events.append(
-            {
-                "event": "block_end",
-                "id": handle.instance_id,
-                "resource": resource,
-                "t": t_end,
-            }
-        )
+        """Record a blocking interval whose end is known when it begins."""
+        self.block_start(handle, resource, t_start)
+        self.block_end(handle, resource, t_end)
 
     def gc_event(self, machine: str, t_start: float, t_end: float) -> None:
         """Record a stop-the-world collection interval on ``machine``."""

@@ -58,23 +58,30 @@ class BoundedMessageQueue:
         single put larger than the whole queue is admitted in capacity-sized
         pieces (as a real buffered sender would split it).
         """
+        t0 = self.sim.now
+        remaining = self.offer(n_bytes)
+        while remaining > 0:
+            ev = self.sim.event()
+            self._waiters.append(ev)
+            yield ev
+            remaining = self.offer(remaining)
+        self.total_stall_time += self.sim.now - t0
+        return self.sim.now - t0  # stall duration, for the caller's logging
+
+    def offer(self, n_bytes: float) -> float:
+        """Enqueue as much of ``n_bytes`` as fits now; returns the rest.
+
+        A producer that gets a positive rest back stalls while it puts the rest.
+        """
         if n_bytes < 0:
             raise ValueError(f"n_bytes must be >= 0, got {n_bytes}")
-        t0 = self.sim.now
         remaining = n_bytes
-        while remaining > 0:
-            space = self.free
-            if space <= 0:
-                ev = self.sim.event()
-                self._waiters.append(ev)
-                yield ev
-                continue
-            chunk = min(remaining, space)
+        while remaining > 0 and self.free > 0:
+            chunk = min(remaining, self.free)
             self.occupied += chunk
             remaining -= chunk
             self._ensure_drainer()
-        self.total_stall_time += self.sim.now - t0
-        return self.sim.now - t0  # stall duration, for the caller's logging
+        return remaining
 
     def _ensure_drainer(self) -> None:
         if not self._drainer_running and self.occupied > 0:

@@ -15,7 +15,9 @@ module materializes that workflow for the simulated systems:
         meta.json           system, config snapshot, makespan
 
 * :func:`load_run` reads it back into the traces + models Grade10 needs;
-* :func:`characterize_archive` is the one-call offline analysis.
+* :func:`characterize_archive` is the one-call offline analysis;
+* :func:`open_live` / :func:`finish_live` bracket a streamed (live)
+  analysis and refuse what :func:`characterize_archive` refuses.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
+from typing import Any
 
 from ..adapters import (
     build_giraph_models,
@@ -30,8 +33,9 @@ from ..adapters import (
     merge_blocking_into_resource_trace,
     parse_execution_trace,
 )
+from ..adapters.parsing import GC_PHASE_PATH
 from ..cluster.monitor import read_monitoring_csv, write_monitoring_csv
-from ..core import Grade10, PerformanceProfile
+from ..core import Grade10, IncrementalProfile, PerformanceProfile
 from ..core.model_io import load_models, save_models
 from ..core.traces import ExecutionTrace, ResourceTrace
 from ..systems import GiraphRun, PowerGraphRun, read_jsonl, write_jsonl
@@ -50,6 +54,9 @@ __all__ = [
     "save_run",
     "load_run",
     "characterize_archive",
+    "require_phases",
+    "open_live",
+    "finish_live",
 ]
 
 #: Archive member file names (the on-disk run-archive layout).
@@ -59,15 +66,8 @@ GROUND_TRUTH_FILE = "ground_truth.csv"
 MODELS_FILE = "models.json"
 META_FILE = "meta.json"
 
-_EVENTS = EVENTS_FILE
-_MONITORING = MONITORING_FILE
-_GROUND_TRUTH = GROUND_TRUTH_FILE
-_MODELS = MODELS_FILE
-_META = META_FILE
-
 #: Files a readable archive must contain (ground truth is optional extra).
-REQUIRED_FILES = (_EVENTS, _MONITORING, _MODELS, _META)
-_REQUIRED = REQUIRED_FILES
+REQUIRED_FILES = (EVENTS_FILE, MONITORING_FILE, MODELS_FILE, META_FILE)
 
 
 class ArchiveError(Exception):
@@ -105,18 +105,18 @@ def save_run(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
-    write_jsonl(run.log, directory / _EVENTS)
+    write_jsonl(run.log, directory / EVENTS_FILE)
     write_monitoring_csv(
         run.recorder.sample(monitoring_interval, t_end=run.makespan),
-        directory / _MONITORING,
+        directory / MONITORING_FILE,
     )
     write_monitoring_csv(
         run.recorder.sample(ground_truth_interval, t_end=run.makespan),
-        directory / _GROUND_TRUTH,
+        directory / GROUND_TRUTH_FILE,
     )
     model, resources, rules = _models_for(run)
     save_models(
-        directory / _MODELS,
+        directory / MODELS_FILE,
         execution_model=model,
         resource_model=resources,
         rules=rules,
@@ -131,7 +131,7 @@ def save_run(
         "ground_truth_interval": ground_truth_interval,
         "config": {k: v for k, v in config.items() if isinstance(v, (int, float, str, bool))},
     }
-    (directory / _META).write_text(json.dumps(meta, indent=2))
+    (directory / META_FILE).write_text(json.dumps(meta, indent=2))
     return directory
 
 
@@ -144,29 +144,26 @@ def load_run(
 
     Raises :class:`ArchiveNotFoundError` when the directory or any required
     file is absent, and :class:`ArchiveCorruptError` when a file exists but
-    cannot be parsed (truncated writes, bad JSON).
+    cannot be parsed (truncated writes, bad JSON) or the log leaves nothing
+    to characterize (see :func:`require_phases`).
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise ArchiveNotFoundError(f"run archive not found: {directory}")
-    missing = [name for name in _REQUIRED if not (directory / name).is_file()]
+    missing = [name for name in REQUIRED_FILES if not (directory / name).is_file()]
     if missing:
         raise ArchiveNotFoundError(
             f"run archive at {directory} is incomplete: missing {', '.join(missing)}"
         )
     try:
-        meta = json.loads((directory / _META).read_text())
+        meta = json.loads((directory / META_FILE).read_text())
         # strict: an archive is a sealed write — a torn tail here is
         # byte-level truncation, not a racing writer, and must surface.
-        log = read_jsonl(directory / _EVENTS, strict=True)
-        models = load_models(directory / _MODELS)
-        resource_trace = read_monitoring_csv(directory / _MONITORING)
+        log = read_jsonl(directory / EVENTS_FILE, strict=True)
+        models = load_models(directory / MODELS_FILE)
+        resource_trace = read_monitoring_csv(directory / MONITORING_FILE)
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise ArchiveCorruptError(f"run archive at {directory} is corrupt: {exc}") from exc
-    if not log.of_kind("phase_start"):
-        raise ArchiveCorruptError(
-            f"run archive at {directory} is corrupt: {_EVENTS} holds no phase events"
-        )
     try:
         execution_trace = parse_execution_trace(
             log, include_blocking=True, include_gc_phases=tuned
@@ -175,10 +172,26 @@ def load_run(
     except (KeyError, TypeError, ValueError) as exc:
         # Degraded logs (truncated writes, injected faults, foreign tools)
         # surface as one typed, catchable failure — never a raw crash.
+        raise _unparseable(directory, exc) from exc
+    return require_phases(execution_trace, directory), resource_trace, models, meta
+
+
+def _unparseable(directory: str | Path, exc: Exception) -> ArchiveCorruptError:
+    return ArchiveCorruptError(f"run archive at {directory} holds an unparseable event log: {exc}")
+
+
+def require_phases(trace: ExecutionTrace, directory: str | Path) -> ExecutionTrace:
+    """Return ``trace``; :class:`ArchiveCorruptError` if it has no phases
+    besides ``/GC`` or they span no time."""
+    if all(inst.phase_path == GC_PHASE_PATH for inst in trace.instances()):
         raise ArchiveCorruptError(
-            f"run archive at {directory} holds an unparseable event log: {exc}"
-        ) from exc
-    return execution_trace, resource_trace, models, meta
+            f"run archive at {directory} is corrupt: {EVENTS_FILE} holds no phase events"
+        )
+    if trace.makespan <= 0.0:
+        raise ArchiveCorruptError(
+            f"run archive at {directory} is corrupt: its phases span no time (makespan 0)"
+        )
+    return trace
 
 
 def characterize_archive(
@@ -194,10 +207,35 @@ def characterize_archive(
     )
     if model is None or resources is None:
         raise ArchiveCorruptError(f"archive at {directory} has no models.json content")
-    if execution_trace.makespan <= 0.0:
-        raise ArchiveCorruptError(
-            f"run archive at {directory} is corrupt: its phases span no time (makespan 0)"
-        )
     kwargs = {} if min_phase_duration is None else {"min_phase_duration": min_phase_duration}
     g10 = Grade10(model, resources, rules, slice_duration=slice_duration, **kwargs)
     return g10.characterize(execution_trace, resource_trace)
+
+
+def open_live(directory: str | Path, **options: Any) -> IncrementalProfile:
+    """An :class:`~repro.core.incremental.IncrementalProfile` on the archive's
+    models (``options`` are its keyword arguments), fed ``monitoring.csv``
+    if it exists yet; the caller streams ``events.jsonl`` into it."""
+    directory = Path(directory)
+    if not (directory / MODELS_FILE).is_file():
+        raise ArchiveNotFoundError(f"run archive not found: no {directory / MODELS_FILE}")
+    monitoring = directory / MONITORING_FILE
+    try:
+        models = load_models(directory / MODELS_FILE)
+        samples = read_monitoring_csv(monitoring) if monitoring.is_file() else None
+    except (KeyError, ValueError) as exc:
+        raise ArchiveCorruptError(f"run archive at {directory} is corrupt: {exc}") from exc
+    inc = IncrementalProfile(*models, **options)
+    if samples is not None:
+        inc.feed_resource_trace(samples)
+    return inc
+
+
+def finish_live(inc: IncrementalProfile, directory: str | Path) -> PerformanceProfile:
+    """Close ``inc``'s stream and characterize the run, refusing a log with
+    :class:`ArchiveCorruptError` wherever :func:`characterize_archive` would."""
+    try:
+        trace, resource_trace = inc.close()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _unparseable(directory, exc) from exc
+    return inc.grade10.characterize(require_phases(trace, directory), resource_trace)

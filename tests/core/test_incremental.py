@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.adapters.parsing import merge_blocking_into_resource_trace, parse_execution_trace
 from repro.core import Grade10, IncrementalProfile, ResourceTrace, render_report
 from repro.faults import apply_faults, fault_at, fault_names
-from repro.systems.logging import write_jsonl
+from repro.systems.logging import EventLog, write_jsonl
 from repro.workloads import WorkloadSpec, analysis_inputs, run_workload
 from repro.workloads.archive import ArchiveError, characterize_archive, save_run
 from repro.workloads.runner import SYSTEMS, characterize_run
@@ -61,8 +61,24 @@ def _incremental(system):
     return inc, rt, text
 
 
+def _instance_rows(profile):
+    """Every instance of the profile's trace, in trace order, field by field."""
+    return [
+        (
+            inst.instance_id, inst.phase_path, inst.parent_id, inst.t_start, inst.t_end,
+            inst.machine, inst.worker, inst.thread,
+            [(b.resource, b.t_start, b.t_end) for b in inst.blocking],
+            list(inst.depends_on),
+        )
+        for inst in profile.execution_trace.instances()
+    ]
+
+
 def _assert_bit_identical(live, batch):
-    """Attribution arrays, bottleneck tuples, and the rendered report."""
+    """Execution trace, attribution arrays, bottleneck tuples, and the report."""
+    # Instance order pins the repair passes: parents before children,
+    # promoted orphans, and /GC phases last in log order.
+    assert _instance_rows(live) == _instance_rows(batch)
     assert sorted(live.attribution.resources()) == sorted(batch.attribution.resources())
     for name in batch.attribution.resources():
         ra, rb = live.attribution[name], batch.attribution[name]
@@ -257,6 +273,28 @@ class TestBatchParity:
         batch = characterize_run(sr, tuned=True, monitoring_interval=MONITORING_INTERVAL)
         want = _batch_seconds(batch)
         got = _streamed_seconds(sr, models, text, rt, 8192)
+        assert sorted(got) == sorted(want)
+        for key, seconds in want.items():
+            assert got[key] == pytest.approx(seconds, abs=1e-9), key
+
+    def test_end_logged_before_start(self):
+        # One Compute phase's phase_end moved ahead of its phase_start, late
+        # in the run: the end still applies (last wins, as in batch), and
+        # its stamp does not move the watermark past events not yet read.
+        sr, models, _, rt = self._run("giraph", "graph500", "small", 0)
+        events = [dict(ev) for ev in sr.log.events]
+        iid = "/Execute/Superstep/Compute#307"
+        start = next(i for i, ev in enumerate(events)
+                     if ev["event"] == "phase_start" and ev["id"] == iid)
+        end = next(i for i, ev in enumerate(events)
+                   if ev["event"] == "phase_end" and ev["id"] == iid)
+        events.insert(start, events.pop(end))
+        log = EventLog(events)
+        trace = parse_execution_trace(log, include_blocking=True, include_gc_phases=True)
+        want = _batch_seconds(Grade10(*models).characterize(trace, rt))
+        buf = io.StringIO()
+        write_jsonl(log, buf)
+        got = _streamed_seconds(sr, models, buf.getvalue(), rt, 8192)
         assert sorted(got) == sorted(want)
         for key, seconds in want.items():
             assert got[key] == pytest.approx(seconds, abs=1e-9), key

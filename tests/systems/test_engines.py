@@ -192,6 +192,22 @@ class TestGiraphEngine:
         spread = lambda r: max(t[1] for t in r) - min(t[1] for t in r)
         assert spread(lpt) <= spread(flat)
 
+    def test_present_time_stamps_are_logged_in_order(self):
+        # A live reader's watermark trusts every present-time stamp; a
+        # queue stall logged only once it ended would land behind it.
+        from repro.workloads import WorkloadSpec, run_workload
+
+        spec = WorkloadSpec("giraph", "graph500", "pr", preset="small", seed=0)
+        log = run_workload(spec).system_run.log
+        newest, behind = float("-inf"), []
+        for ev in log.events:
+            if ev["event"] in ("phase_start", "phase_end", "block_start", "gc"):
+                if ev["t"] < newest:
+                    behind.append(ev)
+                newest = max(newest, ev["t"])
+        assert log.of_kind("block_start"), "the run should block at least once"
+        assert behind == []
+
 
 class TestPowerGraphEngine:
     def test_run_completes(self, graph, pr):

@@ -107,6 +107,15 @@ class TestBoundedMessageQueue:
         assert stalls[0] > 0.0
         assert q.total_stall_time == pytest.approx(stalls[0])
 
+    def test_offer_admits_what_fits_and_returns_the_rest(self):
+        cluster = Cluster(1, net_bandwidth=100.0)
+        q = BoundedMessageQueue(cluster.sim, cluster[0], capacity_bytes=100.0)
+        assert q.offer(60.0) == 0.0
+        assert q.offer(70.0) == pytest.approx(30.0)
+        assert q.free == pytest.approx(0.0)
+        with pytest.raises(ValueError):
+            q.offer(-1.0)
+
     def test_oversized_put_admitted_in_pieces(self):
         cluster = Cluster(1, net_bandwidth=1000.0)
         q = BoundedMessageQueue(cluster.sim, cluster[0], capacity_bytes=100.0)

@@ -43,6 +43,16 @@ class TestEventLog:
         assert log.of_kind("block_start")[0]["resource"] == "gc@m0"
         assert log.of_kind("block_end")[0]["t"] == 2.0
 
+    def test_block_halves_are_separate_writes(self):
+        # A stall whose end is not known yet logs its start on its own.
+        log = EventLog()
+        h = log.start_phase("/P", 0.0)
+        log.block_start(h, "queue@m0", 1.0)
+        assert [e["event"] for e in log.events] == ["phase_start", "block_start"]
+        log.block_end(h, "queue@m0", 1.5)
+        end = log.of_kind("block_end")[0]
+        assert (end["id"], end["resource"], end["t"]) == (h.instance_id, "queue@m0", 1.5)
+
     def test_gc_event(self):
         log = EventLog()
         log.gc_event("m1", 3.0, 3.5)

@@ -466,6 +466,27 @@ class TestJobQueue:
         assert live.analysis_params["min_phase_duration"] == cell.min_phase_duration
         assert render_report(live, extended=True) == render_report(batch, extended=True)
 
+    @pytest.mark.parametrize("damage", ["zero_makespan", "no_phase_events"])
+    def test_live_cell_refuses_what_batch_refuses(self, tiny_archive, tmp_path, damage):
+        """An archive whose log leaves nothing to characterize is corrupt
+        to a live cell exactly as it is to a batch one."""
+        from repro.faults import apply_faults, fault_at
+        from repro.jobs import stream_archive
+        from repro.workloads.archive import ArchiveCorruptError, characterize_archive
+
+        dest = tmp_path / damage
+        if damage == "zero_makespan":  # only zero-length /Load phases survive
+            apply_faults(tiny_archive, dest, [fault_at("truncate_log", 0.9921875)], seed=0)
+        else:
+            apply_faults(tiny_archive, dest, [], seed=0)
+            (dest / "events.jsonl").write_text("")
+        (cell,) = JobSpec(characterize=True).cells()
+        with pytest.raises(ArchiveCorruptError) as batch:
+            characterize_archive(dest)
+        with pytest.raises(ArchiveCorruptError) as live:
+            stream_archive(cell, dest)
+        assert str(live.value) == str(batch.value)
+
 
 # ---------------------------------------------------------------------- #
 # Concurrency: racing submitters and cancellers
